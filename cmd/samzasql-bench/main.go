@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), state, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all")
+		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), state, telemetry-overhead, monitor-smoke, profile-smoke, hot, loc or all")
 		messages   = flag.Int("messages", 200_000, "orders messages per run")
 		partitions = flag.Int("partitions", 32, "partitions per topic (paper: 32)")
 		products   = flag.Int("products", 100, "products relation cardinality")
@@ -34,10 +34,9 @@ func main() {
 		storeCache = flag.Int("store-cache", 0, "wrap every task store in an LRU object cache of this many entries (0 = paper-faithful per-tuple store path)")
 		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
-		traceRnds  = flag.Int("trace-rounds", 5, "rounds per point for -figure trace (best-of comparison)")
 		profIntv   = flag.Duration("profile-interval", 0, "run each job's continuous profiler at this capture period (e.g. 1s; 0 = profiling off)")
 		profWindow = flag.Duration("profile-window", 0, "CPU sampling length within each profile interval (0 = profiler default; equal to the interval = always-on)")
-		profRnds   = flag.Int("profile-rounds", 5, "rounds per point for -figure profile-overhead (best-of comparison)")
+		rounds     = flag.Int("rounds", 7, "interleaved rounds per point for -figure telemetry-overhead (median and quartiles)")
 		artifacts  = flag.String("artifacts", "", "directory for raw /profile JSON artifacts from -figure profile-smoke (empty = don't save)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
 		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for SamzaSQL jobs: messages per columnar block (0 = framework default, -1 = per-message scalar path)")
@@ -122,14 +121,14 @@ func main() {
 		report.StoreTuning = &cmp
 	}
 
-	// runTraceOverhead measures tracing cost at sample rates 0, 0.01, 1.0
-	// on the filter and sliding-window benchmarks, behind "-figure trace".
-	runTraceOverhead := func() {
-		rows, err := bench.RunTraceOverhead(cfg.Messages, *traceRnds)
+	// runTelemetryOverhead measures tracing and continuous-profiling cost
+	// against telemetry off, behind "-figure telemetry-overhead".
+	runTelemetryOverhead := func() {
+		rows, err := bench.RunTelemetryOverhead(cfg.Messages, *rounds)
 		if err != nil {
-			fatalf("trace overhead: %v", err)
+			fatalf("telemetry overhead: %v", err)
 		}
-		fmt.Println(bench.FormatTraceOverhead(rows))
+		fmt.Println(bench.FormatTelemetryOverhead(rows, *rounds))
 	}
 
 	// runMonitorSmoke drives the monitored lag-spike scenario end to end
@@ -141,16 +140,6 @@ func main() {
 			fatalf("monitor smoke: %v", err)
 		}
 		fmt.Println(bench.FormatMonitorSmoke(r))
-	}
-
-	// runProfileOverhead measures continuous-profiling cost off/default/
-	// aggressive on the filter benchmark, behind "-figure profile-overhead".
-	runProfileOverhead := func() {
-		rows, err := bench.RunProfileOverhead(cfg.Messages, *profRnds)
-		if err != nil {
-			fatalf("profile overhead: %v", err)
-		}
-		fmt.Println(bench.FormatProfileOverhead(rows))
 	}
 
 	// runProfileSmoke drives a two-container profiled job and asserts the
@@ -189,12 +178,10 @@ func main() {
 		}
 	case "state":
 		runStoreTuning()
-	case "trace":
-		runTraceOverhead()
+	case "telemetry-overhead":
+		runTelemetryOverhead()
 	case "monitor-smoke":
 		runMonitorSmoke()
-	case "profile-overhead":
-		runProfileOverhead()
 	case "profile-smoke":
 		runProfileSmoke()
 	case "hot":
@@ -204,7 +191,7 @@ func main() {
 	default:
 		spec, ok := bench.FigureByID(*figure)
 		if !ok {
-			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, state, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all)", *figure)
+			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, state, telemetry-overhead, monitor-smoke, profile-smoke, hot, loc or all)", *figure)
 		}
 		runOne(spec)
 	}

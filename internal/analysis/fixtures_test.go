@@ -26,11 +26,11 @@ func TestGoroutineSupervisionFixture(t *testing.T) {
 }
 
 func TestTraceGuardFixture(t *testing.T) {
-	checkFixture(t, "traceguard", TraceGuard)
+	checkFixture(t, "traceguard", TelemetryGuard)
 }
 
 func TestProfileGuardFixture(t *testing.T) {
-	checkFixture(t, "profileguard", ProfileGuard)
+	checkFixture(t, "profileguard", TelemetryGuard)
 }
 
 func TestLockOrderFixture(t *testing.T) {

@@ -1,6 +1,6 @@
 package analysis
 
-// Suite returns every project analyzer, in stable order. The first seven are
+// Suite returns every project analyzer, in stable order. The first six are
 // per-package; the last four are whole-program (CFG + call graph).
 func Suite() []*Analyzer {
 	return []*Analyzer{
@@ -9,8 +9,7 @@ func Suite() []*Analyzer {
 		HotpathAlloc,
 		LockDiscipline,
 		MetricsBinding,
-		ProfileGuard,
-		TraceGuard,
+		TelemetryGuard,
 		ChanLeak,
 		HotpathBlocking,
 		HotpathEscape,

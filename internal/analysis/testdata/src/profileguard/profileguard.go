@@ -27,7 +27,7 @@ func good(prof *profile.Profiler) {
 
 //samzasql:hotpath
 func suppressed(prof *profile.Profiler) {
-	//samzasql:ignore profile-guard -- cold init path, runs once per task
+	//samzasql:ignore telemetry-guard -- cold init path, runs once per task
 	_, _ = prof.CaptureGoroutines() // want-suppressed `unguarded profile\.CaptureGoroutines call`
 }
 

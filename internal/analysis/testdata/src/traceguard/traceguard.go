@@ -34,7 +34,7 @@ func good(act *trace.Active, m envelope) {
 
 //samzasql:hotpath
 func suppressed(act *trace.Active) {
-	//samzasql:ignore trace-guard -- cold init path, runs once per task
+	//samzasql:ignore telemetry-guard -- cold init path, runs once per task
 	act.Begin("stage", 0) // want-suppressed `unguarded trace\.Begin call`
 }
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 )
 
@@ -64,14 +64,13 @@ type Config struct {
 // Monitor tails the telemetry streams into the store and evaluates the
 // rule set. Create with Start, release with Stop.
 type Monitor struct {
-	cfg    Config
-	store  *Store
-	hot    *HotStore
-	am     *alertManager
-	mtail  *samza.MetricsTailer
-	ttail  *samza.TraceTailer
-	ptail  *samza.ProfilesTailer
-	alerts serde.Serde
+	cfg   Config
+	store *Store
+	hot   *HotStore
+	am    *alertManager
+	mtail *samza.Tailer[samza.MetricsSnapshotMessage]
+	ttail *samza.Tailer[samza.TraceBatchMessage]
+	ptail *samza.Tailer[samza.ProfileBatchMessage]
 
 	// Monitor self-metrics, pre-bound (never looked up on the ingest path).
 	reg             *metrics.Registry
@@ -156,20 +155,16 @@ func Start(cfg Config) (*Monitor, error) {
 			return nil, fmt.Errorf("monitor: ensure topic %s: %w", topic, err)
 		}
 	}
-	alertSerde, err := serde.Lookup("alert")
+	mtail, err := samza.NewTailer(cfg.Broker, cfg.MetricsTopic, samza.MetricsStream)
 	if err != nil {
 		return nil, err
 	}
-	mtail, err := samza.NewMetricsTailer(cfg.Broker, cfg.MetricsTopic)
-	if err != nil {
-		return nil, err
-	}
-	ttail, err := samza.NewTraceTailer(cfg.Broker, cfg.TraceTopic)
+	ttail, err := samza.NewTailer(cfg.Broker, cfg.TraceTopic, samza.TracesStream)
 	if err != nil {
 		mtail.Close()
 		return nil, err
 	}
-	ptail, err := samza.NewProfilesTailer(cfg.Broker, cfg.ProfilesTopic)
+	ptail, err := samza.NewTailer(cfg.Broker, cfg.ProfilesTopic, samza.ProfilesStream)
 	if err != nil {
 		mtail.Close()
 		ttail.Close()
@@ -184,7 +179,6 @@ func Start(cfg Config) (*Monitor, error) {
 		mtail:           mtail,
 		ttail:           ttail,
 		ptail:           ptail,
-		alerts:          alertSerde,
 		reg:             reg,
 		snapshotsIn:     reg.Counter("monitor.snapshots-ingested"),
 		spansIn:         reg.Counter("monitor.spans-ingested"),
@@ -208,22 +202,19 @@ func Start(cfg Config) (*Monitor, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
-	m.wg.Add(1)
+	m.wg.Add(4)
 	go func() {
 		defer m.wg.Done()
-		m.tailMetrics(ctx)
+		pump(ctx, mtail, m.metricsCh, m.decodeErrors)
 	}()
-	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.tailTraces(ctx)
+		pump(ctx, ttail, m.tracesCh, m.decodeErrors)
 	}()
-	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.tailProfiles(ctx)
+		pump(ctx, ptail, m.profilesCh, m.decodeErrors)
 	}()
-	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
 		m.run(ctx)
@@ -277,65 +268,26 @@ func (m *Monitor) RecentEvents(max int) []trace.Event {
 	return out
 }
 
-// tailMetrics blocks on the metrics tailer and forwards decoded batches to
-// the run loop. Decode errors are counted, the decoded prefix still
-// delivered; the loop exits when ctx ends.
-func (m *Monitor) tailMetrics(ctx context.Context) {
+// pump blocks on one tailer and forwards decoded batches to the run loop
+// until ctx ends. Each undecodable record counts once in decodeErrors; the
+// records around it are still delivered.
+func pump[T any](ctx context.Context, t *samza.Tailer[T], out chan<- []*T, decodeErrors *metrics.Counter) {
 	for {
-		batch, err := m.mtail.Poll(ctx, 256)
+		batch, err := t.Poll(ctx, 256)
 		if err != nil && ctx.Err() != nil {
 			return
 		}
-		if err != nil {
-			m.decodeErrors.Inc()
+		var bad *samza.DecodeError
+		if errors.As(err, &bad) {
+			decodeErrors.Add(int64(bad.Skipped))
+		} else if err != nil {
+			decodeErrors.Inc()
 		}
 		if len(batch) == 0 {
 			continue
 		}
 		select {
-		case m.metricsCh <- batch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// tailTraces is tailMetrics for the trace stream.
-func (m *Monitor) tailTraces(ctx context.Context) {
-	for {
-		batch, err := m.ttail.Poll(ctx, 256)
-		if err != nil && ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			m.decodeErrors.Inc()
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case m.tracesCh <- batch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// tailProfiles is tailMetrics for the profiles stream.
-func (m *Monitor) tailProfiles(ctx context.Context) {
-	for {
-		batch, err := m.ptail.Poll(ctx, 256)
-		if err != nil && ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			m.decodeErrors.Inc()
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case m.profilesCh <- batch:
+		case out <- batch:
 		case <-ctx.Done():
 			return
 		}
@@ -477,21 +429,10 @@ func (m *Monitor) flapCounts(fromMillis int64) map[flapKey]int64 {
 	return out
 }
 
-// publishAlert serde-encodes one transition onto the alerts topic. Errors
-// are counted, never fatal: alerting must not take down the monitor.
+// publishAlert publishes one transition onto the alerts topic. Errors are
+// counted, never fatal: alerting must not take down the monitor.
 func (m *Monitor) publishAlert(msg *AlertMessage) {
-	data, err := m.alerts.Encode(msg)
-	if err != nil {
-		m.publishErrors.Inc()
-		return
-	}
-	_, err = m.cfg.Broker.Produce(m.cfg.AlertsTopic, kafka.Message{
-		Partition: 0,
-		Key:       []byte(msg.Rule + "/" + msg.Subject),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
-	if err != nil {
+	if err := AlertStream.Publish(m.cfg.Broker, m.cfg.AlertsTopic, msg.Rule+"/"+msg.Subject, msg.TimeMillis, msg); err != nil {
 		m.publishErrors.Inc()
 		return
 	}

@@ -256,7 +256,7 @@ func TestLagAlertFiresAndResolves(t *testing.T) {
 	}
 	defer mon.Stop()
 
-	tailer, err := NewAlertsTailer(b, DefaultAlertsTopic)
+	tailer, err := samza.NewTailer(b, DefaultAlertsTopic, AlertStream)
 	if err != nil {
 		t.Fatal(err)
 	}

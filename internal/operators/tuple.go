@@ -40,7 +40,7 @@ type OpContext struct {
 	Metrics *metrics.Registry
 	// Trace is the task's tracing cursor; may be nil (bounded execution,
 	// tests). Hot-path uses must branch on Trace.Sampled() — nil-safe —
-	// before any other call (enforced by the samzasql-vet trace-guard rule).
+	// before any other call (enforced by the samzasql-vet telemetry-guard rule).
 	Trace *trace.Active
 }
 

@@ -79,9 +79,9 @@ var captureMu sync.Mutex
 // Profiler periodically captures windowed CPU profiles plus heap-delta and
 // goroutine snapshots for one container. It is constructed unconditionally
 // cheap: until Capture runs, a Profiler costs nothing, and Enabled() is the
-// branch hot-path call sites must sit behind (the profile-guard analyzer
-// enforces this for //samzasql:hotpath functions, like trace-guard does for
-// sampling).
+// branch hot-path call sites must sit behind (the telemetry-guard analyzer
+// enforces this for //samzasql:hotpath functions, as it does the sample
+// bit for tracing).
 type Profiler struct {
 	cfg     Config
 	enabled bool

@@ -36,7 +36,7 @@ type TaskContext struct {
 	// Trace is the task's tracing cursor. Always non-nil; when the current
 	// message is unsampled every method collapses to a bool check. Task
 	// code touching it from a hot path must branch on Trace.Sampled()
-	// first (enforced by the samzasql-vet trace-guard rule).
+	// first (enforced by the samzasql-vet telemetry-guard rule).
 	Trace *trace.Active
 
 	stores map[string]kv.Store

@@ -2,14 +2,10 @@ package samza
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
 	"samzasql/internal/profile"
-	"samzasql/internal/serde"
 )
 
 // DefaultProfilesTopic is the stream profile batches publish to when the
@@ -48,33 +44,6 @@ type ProfileBatchMessage struct {
 	Goroutines []profile.FuncStat `json:"goroutines,omitempty"`
 }
 
-// profileSerde routes profile batches through the serde stack, registered
-// as "profile-batch" so jobs and tools resolve it by name.
-type profileSerde struct{}
-
-// Name implements serde.Serde.
-func (profileSerde) Name() string { return "profile-batch" }
-
-// Encode implements serde.Serde.
-func (profileSerde) Encode(v any) ([]byte, error) {
-	m, ok := v.(*ProfileBatchMessage)
-	if !ok {
-		return nil, fmt.Errorf("%w: want *samza.ProfileBatchMessage, got %T", serde.ErrWrongType, v)
-	}
-	return json.Marshal(m)
-}
-
-// Decode implements serde.Serde.
-func (profileSerde) Decode(data []byte) (any, error) {
-	var m ProfileBatchMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func init() { serde.Register(profileSerde{}) }
-
 // ProfileReporter runs one container's continuous profiler: every interval
 // it captures a CPU window plus heap-delta/goroutine snapshots and
 // publishes the folded batch. On shutdown it publishes a final CPU-less
@@ -86,21 +55,15 @@ type ProfileReporter struct {
 	container int
 	topic     string
 	prof      *profile.Profiler
-	s         serde.Serde
 	seq       int64
 }
 
 // NewProfileReporter builds a reporter around an enabled profiler. The
 // profiles topic must already exist (Container.Run ensures it).
 func NewProfileReporter(b *kafka.Broker, job string, container int, topic string, prof *profile.Profiler) *ProfileReporter {
-	s, err := serde.Lookup("profile-batch")
-	if err != nil {
-		// Registered by this package's init; absence is a programming error.
-		panic(err)
-	}
 	return &ProfileReporter{
 		broker: b, job: job, container: container,
-		topic: topic, prof: prof, s: s,
+		topic: topic, prof: prof,
 	}
 }
 
@@ -127,20 +90,7 @@ func (r *ProfileReporter) publish(batch *profile.Batch, final bool) error {
 		HeapDelta:    batch.HeapDelta,
 		Goroutines:   batch.Goroutines,
 	}
-	data, err := r.s.Encode(msg)
-	if err != nil {
-		return fmt.Errorf("samza: profile batch encode: %w", err)
-	}
-	_, err = r.broker.Produce(r.topic, kafka.Message{
-		Partition: 0,
-		Key:       []byte(fmt.Sprintf("%s-%d", r.job, r.container)),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
-	if err != nil {
-		return fmt.Errorf("samza: profile batch publish: %w", err)
-	}
-	return nil
+	return ProfilesStream.Publish(r.broker, r.topic, containerKey(r.job, r.container), msg.TimeMillis, msg)
 }
 
 // Run captures and publishes until ctx is cancelled, then flushes a final
@@ -187,60 +137,3 @@ func (r *ProfileReporter) finalFlush() {
 		Goroutines: gor,
 	}, true)
 }
-
-// ProfilesTailer consumes a profiles stream back into decoded batches —
-// the consumer half of the reporter, used by the monitor's hot-function
-// store and by tests asserting on published profiles.
-type ProfilesTailer struct {
-	consumer *kafka.Consumer
-	topic    string
-	s        serde.Serde
-}
-
-// NewProfilesTailer attaches a consumer at the start of the profiles topic.
-func NewProfilesTailer(b *kafka.Broker, topic string) (*ProfilesTailer, error) {
-	s, err := serde.Lookup("profile-batch")
-	if err != nil {
-		return nil, err
-	}
-	c := kafka.NewConsumer(b, "profiles-tailer")
-	if err := c.Assign(kafka.TopicPartition{Topic: topic, Partition: 0}); err != nil {
-		return nil, fmt.Errorf("samza: profiles tailer assign: %w", err)
-	}
-	return &ProfilesTailer{consumer: c, topic: topic, s: s}, nil
-}
-
-// BindLag registers the tailer's own consumer lag on the profiles stream as
-// a gauge ("tailer.lag.<topic>.0") in reg, so the observability pipeline is
-// itself observable. Call UpdateLag to refresh it.
-func (t *ProfilesTailer) BindLag(reg *metrics.Registry) {
-	tp := kafka.TopicPartition{Topic: t.topic, Partition: 0}
-	t.consumer.BindLagGauge(tp, reg.Gauge(fmt.Sprintf("tailer.lag.%s.0", t.topic)))
-}
-
-// UpdateLag refreshes the bound lag gauge from the broker's high watermark
-// and returns the tailer's outstanding batches.
-func (t *ProfilesTailer) UpdateLag() (int64, error) {
-	return t.consumer.UpdateLag()
-}
-
-// Poll returns up to max batches published since the last call, blocking
-// per the consumer's semantics until messages arrive or ctx ends.
-func (t *ProfilesTailer) Poll(ctx context.Context, max int) ([]*ProfileBatchMessage, error) {
-	msgs, err := t.consumer.Poll(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ProfileBatchMessage, 0, len(msgs))
-	for i := range msgs {
-		v, err := t.s.Decode(msgs[i].Value)
-		if err != nil {
-			return out, fmt.Errorf("samza: profile batch decode: %w", err)
-		}
-		out = append(out, v.(*ProfileBatchMessage))
-	}
-	return out, nil
-}
-
-// Close releases the tailer's consumer.
-func (t *ProfilesTailer) Close() { t.consumer.Close() }

@@ -82,7 +82,7 @@ func TestProfileReporterPublishes(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	rj.Stop()
 
-	tailer, err := NewProfilesTailer(b, DefaultProfilesTopic)
+	tailer, err := NewTailer(b, DefaultProfilesTopic, ProfilesStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestProfilesTailerResumeAcrossContainerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tailer, err := NewProfilesTailer(b, DefaultProfilesTopic)
+	tailer, err := NewTailer(b, DefaultProfilesTopic, ProfilesStream)
 	if err != nil {
 		t.Fatal(err)
 	}

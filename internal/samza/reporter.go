@@ -2,13 +2,10 @@ package samza
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/serde"
 )
 
 // DefaultMetricsTopic is the stream metrics snapshots publish to when the
@@ -39,33 +36,6 @@ type MetricsSnapshotMessage struct {
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 
-// snapshotSerde routes snapshots through the serde stack like any payload,
-// registered as "metrics-snapshot" so jobs and tools resolve it by name.
-type snapshotSerde struct{}
-
-// Name implements serde.Serde.
-func (snapshotSerde) Name() string { return "metrics-snapshot" }
-
-// Encode implements serde.Serde.
-func (snapshotSerde) Encode(v any) ([]byte, error) {
-	m, ok := v.(*MetricsSnapshotMessage)
-	if !ok {
-		return nil, fmt.Errorf("%w: want *samza.MetricsSnapshotMessage, got %T", serde.ErrWrongType, v)
-	}
-	return json.Marshal(m)
-}
-
-// Decode implements serde.Serde.
-func (snapshotSerde) Decode(data []byte) (any, error) {
-	var m MetricsSnapshotMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func init() { serde.Register(snapshotSerde{}) }
-
 // MetricsSnapshotReporter periodically serializes one container's registry
 // onto the metrics stream. It publishes an initial snapshot on start, one
 // per interval, and a final one on shutdown, so even a short-lived job
@@ -77,7 +47,6 @@ type MetricsSnapshotReporter struct {
 	topic     string
 	interval  time.Duration
 	reg       *metrics.Registry
-	s         serde.Serde
 	seq       int64
 	// refresh, when non-nil, runs before each publish to update pull-style
 	// gauges (consumer lag) that nothing on the hot path touches.
@@ -87,14 +56,9 @@ type MetricsSnapshotReporter struct {
 // NewMetricsSnapshotReporter builds a reporter over the container's registry.
 // The metrics topic must already exist (Container.Run ensures it).
 func NewMetricsSnapshotReporter(b *kafka.Broker, job string, container int, topic string, interval time.Duration, reg *metrics.Registry, refresh func()) *MetricsSnapshotReporter {
-	s, err := serde.Lookup("metrics-snapshot")
-	if err != nil {
-		// Registered by this package's init; absence is a programming error.
-		panic(err)
-	}
 	return &MetricsSnapshotReporter{
 		broker: b, job: job, container: container,
-		topic: topic, interval: interval, reg: reg, s: s,
+		topic: topic, interval: interval, reg: reg,
 		refresh: refresh,
 	}
 }
@@ -115,20 +79,7 @@ func (r *MetricsSnapshotReporter) publish(final bool) error {
 		Final:      final,
 		Metrics:    r.reg.Snapshot(),
 	}
-	data, err := r.s.Encode(msg)
-	if err != nil {
-		return fmt.Errorf("samza: metrics snapshot encode: %w", err)
-	}
-	_, err = r.broker.Produce(r.topic, kafka.Message{
-		Partition: 0,
-		Key:       []byte(fmt.Sprintf("%s-%d", r.job, r.container)),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
-	if err != nil {
-		return fmt.Errorf("samza: metrics snapshot publish: %w", err)
-	}
-	return nil
+	return MetricsStream.Publish(r.broker, r.topic, containerKey(r.job, r.container), msg.TimeMillis, msg)
 }
 
 // Run publishes until ctx is cancelled, then flushes a final snapshot
@@ -139,72 +90,5 @@ func (r *MetricsSnapshotReporter) publish(final bool) error {
 // next tick.
 func (r *MetricsSnapshotReporter) Run(ctx context.Context) {
 	_ = r.publish(false)
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			_ = r.publish(true)
-			return
-		case <-t.C:
-			_ = r.publish(false)
-		}
-	}
+	tickLoop(ctx, r.interval, func(final bool) { _ = r.publish(final) })
 }
-
-// MetricsTailer consumes a metrics stream back into decoded snapshots — the
-// consumer half of the reporter, used by the shell's \metrics command and by
-// tests asserting on published telemetry.
-type MetricsTailer struct {
-	consumer *kafka.Consumer
-	topic    string
-	s        serde.Serde
-}
-
-// NewMetricsTailer attaches a consumer at the start of the metrics topic.
-func NewMetricsTailer(b *kafka.Broker, topic string) (*MetricsTailer, error) {
-	s, err := serde.Lookup("metrics-snapshot")
-	if err != nil {
-		return nil, err
-	}
-	c := kafka.NewConsumer(b, "metrics-tailer")
-	if err := c.Assign(kafka.TopicPartition{Topic: topic, Partition: 0}); err != nil {
-		return nil, fmt.Errorf("samza: metrics tailer assign: %w", err)
-	}
-	return &MetricsTailer{consumer: c, topic: topic, s: s}, nil
-}
-
-// BindLag registers the tailer's own consumer lag on the metrics stream as
-// a gauge ("tailer.lag.<topic>.0") in reg, so the observability pipeline
-// is itself observable. Call UpdateLag to refresh it.
-func (t *MetricsTailer) BindLag(reg *metrics.Registry) {
-	tp := kafka.TopicPartition{Topic: t.topic, Partition: 0}
-	t.consumer.BindLagGauge(tp, reg.Gauge(fmt.Sprintf("tailer.lag.%s.0", t.topic)))
-}
-
-// UpdateLag refreshes the bound lag gauge from the broker's high watermark
-// and returns the tailer's outstanding snapshots.
-func (t *MetricsTailer) UpdateLag() (int64, error) {
-	return t.consumer.UpdateLag()
-}
-
-// Poll returns up to max snapshots published since the last call, blocking
-// per the consumer's semantics until messages arrive or ctx ends.
-func (t *MetricsTailer) Poll(ctx context.Context, max int) ([]*MetricsSnapshotMessage, error) {
-	msgs, err := t.consumer.Poll(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MetricsSnapshotMessage, 0, len(msgs))
-	for i := range msgs {
-		v, err := t.s.Decode(msgs[i].Value)
-		if err != nil {
-			return out, fmt.Errorf("samza: metrics snapshot decode: %w", err)
-		}
-		out = append(out, v.(*MetricsSnapshotMessage))
-	}
-	return out, nil
-}
-
-// Close releases the tailer's consumer.
-func (t *MetricsTailer) Close() { t.consumer.Close() }

@@ -71,7 +71,7 @@ func TestMetricsSnapshotReporterPublishes(t *testing.T) {
 	time.Sleep(15 * time.Millisecond)
 	rj.Stop()
 
-	tailer, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	tailer, err := NewTailer(b, DefaultMetricsTopic, MetricsStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestMetricsReporterFinalSnapshotShortLivedJob(t *testing.T) {
 	}, "all messages processed")
 	rj.Stop()
 
-	tailer, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	tailer, err := NewTailer(b, DefaultMetricsTopic, MetricsStream)
 	if err != nil {
 		t.Fatal(err)
 	}

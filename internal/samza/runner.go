@@ -11,7 +11,6 @@ import (
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 	"samzasql/internal/yarn"
 )
@@ -107,10 +106,6 @@ func (r *JobRunner) publishEvent(kind, detail string) {
 	r.evSeq++
 	seq := r.evSeq
 	r.evMu.Unlock()
-	s, err := serde.Lookup("trace-batch")
-	if err != nil {
-		return
-	}
 	if err := r.Broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
 		return
 	}
@@ -121,16 +116,7 @@ func (r *JobRunner) publishEvent(kind, detail string) {
 		Seq:        seq,
 		Events:     []trace.Event{{TimeNs: now.UnixNano(), Kind: kind, Detail: detail}},
 	}
-	data, err := s.Encode(msg)
-	if err != nil {
-		return
-	}
-	_, _ = r.Broker.Produce(topic, kafka.Message{
-		Partition: 0,
-		Key:       []byte("runner"),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
+	_ = TracesStream.Publish(r.Broker, topic, "runner", msg.TimeMillis, msg)
 }
 
 // RunningJob is a handle to a submitted job.

@@ -2,13 +2,9 @@ package samza
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 )
 
@@ -44,33 +40,6 @@ type TraceBatchMessage struct {
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
-// traceSerde routes trace batches through the serde stack, registered as
-// "trace-batch" so jobs and tools resolve it by name.
-type traceSerde struct{}
-
-// Name implements serde.Serde.
-func (traceSerde) Name() string { return "trace-batch" }
-
-// Encode implements serde.Serde.
-func (traceSerde) Encode(v any) ([]byte, error) {
-	m, ok := v.(*TraceBatchMessage)
-	if !ok {
-		return nil, fmt.Errorf("%w: want *samza.TraceBatchMessage, got %T", serde.ErrWrongType, v)
-	}
-	return json.Marshal(m)
-}
-
-// Decode implements serde.Serde.
-func (traceSerde) Decode(data []byte) (any, error) {
-	var m TraceBatchMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func init() { serde.Register(traceSerde{}) }
-
 // TraceReporter periodically drains a container's span ring and lifecycle
 // events onto the trace stream (and into the container's recent-trace
 // store for /debug/traces). It publishes one batch per interval and a
@@ -82,7 +51,6 @@ type TraceReporter struct {
 	container int
 	topic     string
 	interval  time.Duration
-	s         serde.Serde
 	seq       int64
 	// collect drains the container's recorder (feeding its recent-trace
 	// store as a side effect) and returns the batch to publish.
@@ -92,14 +60,9 @@ type TraceReporter struct {
 // NewTraceReporter builds a reporter over a container's collect function.
 // The trace topic must already exist (Container.Run ensures it).
 func NewTraceReporter(b *kafka.Broker, job string, container int, topic string, interval time.Duration, collect func() ([]trace.Span, []trace.Event, int64)) *TraceReporter {
-	s, err := serde.Lookup("trace-batch")
-	if err != nil {
-		// Registered by this package's init; absence is a programming error.
-		panic(err)
-	}
 	return &TraceReporter{
 		broker: b, job: job, container: container,
-		topic: topic, interval: interval, s: s, collect: collect,
+		topic: topic, interval: interval, collect: collect,
 	}
 }
 
@@ -120,92 +83,12 @@ func (r *TraceReporter) Publish() error {
 		Events:     events,
 		Dropped:    dropped,
 	}
-	data, err := r.s.Encode(msg)
-	if err != nil {
-		return fmt.Errorf("samza: trace batch encode: %w", err)
-	}
-	_, err = r.broker.Produce(r.topic, kafka.Message{
-		Partition: 0,
-		Key:       []byte(fmt.Sprintf("%s-%d", r.job, r.container)),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
-	if err != nil {
-		return fmt.Errorf("samza: trace batch publish: %w", err)
-	}
-	return nil
+	return TracesStream.Publish(r.broker, r.topic, containerKey(r.job, r.container), msg.TimeMillis, msg)
 }
 
 // Run publishes until ctx is cancelled, then flushes a final batch. Like
 // the metrics reporter, publish errors are dropped: tracing must never
 // take down the pipeline it observes.
 func (r *TraceReporter) Run(ctx context.Context) {
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			_ = r.Publish()
-			return
-		case <-t.C:
-			_ = r.Publish()
-		}
-	}
+	tickLoop(ctx, r.interval, func(bool) { _ = r.Publish() })
 }
-
-// TraceTailer consumes a trace stream back into decoded batches — the
-// consumer half of the reporter, used by the shell's \trace command and by
-// tests asserting on published spans.
-type TraceTailer struct {
-	consumer *kafka.Consumer
-	topic    string
-	s        serde.Serde
-}
-
-// NewTraceTailer attaches a consumer at the start of the trace topic.
-func NewTraceTailer(b *kafka.Broker, topic string) (*TraceTailer, error) {
-	s, err := serde.Lookup("trace-batch")
-	if err != nil {
-		return nil, err
-	}
-	c := kafka.NewConsumer(b, "trace-tailer")
-	if err := c.Assign(kafka.TopicPartition{Topic: topic, Partition: 0}); err != nil {
-		return nil, fmt.Errorf("samza: trace tailer assign: %w", err)
-	}
-	return &TraceTailer{consumer: c, topic: topic, s: s}, nil
-}
-
-// Poll returns up to max batches published since the last call, blocking
-// per the consumer's semantics until messages arrive or ctx ends.
-func (t *TraceTailer) Poll(ctx context.Context, max int) ([]*TraceBatchMessage, error) {
-	msgs, err := t.consumer.Poll(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*TraceBatchMessage, 0, len(msgs))
-	for i := range msgs {
-		v, err := t.s.Decode(msgs[i].Value)
-		if err != nil {
-			return out, fmt.Errorf("samza: trace batch decode: %w", err)
-		}
-		out = append(out, v.(*TraceBatchMessage))
-	}
-	return out, nil
-}
-
-// BindLag registers the tailer's own consumer lag on the trace stream as a
-// gauge ("tailer.lag.<topic>.0") in reg, so the observability pipeline is
-// itself observable. Call UpdateLag to refresh it.
-func (t *TraceTailer) BindLag(reg *metrics.Registry) {
-	tp := kafka.TopicPartition{Topic: t.topic, Partition: 0}
-	t.consumer.BindLagGauge(tp, reg.Gauge(fmt.Sprintf("tailer.lag.%s.0", t.topic)))
-}
-
-// UpdateLag refreshes the bound lag gauge from the broker's high watermark
-// and returns the tailer's outstanding batches.
-func (t *TraceTailer) UpdateLag() (int64, error) {
-	return t.consumer.UpdateLag()
-}
-
-// Close releases the tailer's consumer.
-func (t *TraceTailer) Close() { t.consumer.Close() }

@@ -64,7 +64,7 @@ func (t *storePutTask) Process(env IncomingMessageEnvelope, c MessageCollector, 
 // suffice, or the deadline passes.
 func pollTraces(t *testing.T, b *kafka.Broker, done func([]*TraceBatchMessage) bool) []*TraceBatchMessage {
 	t.Helper()
-	tailer, err := NewTraceTailer(b, DefaultTraceTopic)
+	tailer, err := NewTailer(b, DefaultTraceTopic, TracesStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTailerLagGauges(t *testing.T) {
 	rj.Stop()
 
 	reg := metrics.NewRegistry()
-	mt, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	mt, err := NewTailer(b, DefaultMetricsTopic, MetricsStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestTailerLagGauges(t *testing.T) {
 		t.Fatalf("metrics lag gauge %d, want %d", got, lag)
 	}
 
-	tt, err := NewTraceTailer(b, DefaultTraceTopic)
+	tt, err := NewTailer(b, DefaultTraceTopic, TracesStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestReportersConcurrentShutdown(t *testing.T) {
 
 		// The final flush runs after every task exits, so the last published
 		// snapshot must carry the end-of-run counter.
-		mt, err := NewMetricsTailer(b, DefaultMetricsTopic)
+		mt, err := NewTailer(b, DefaultMetricsTopic, MetricsStream)
 		if err != nil {
 			t.Fatal(err)
 		}

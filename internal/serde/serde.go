@@ -109,6 +109,43 @@ func (JSONSerde) Decode(data []byte) (any, error) {
 	return v, nil
 }
 
+// TypedJSON encodes one message type with encoding/json: Encode takes a *T
+// and Decode returns a fresh *T. It is the serde of every control stream
+// (metrics snapshots, trace batches, profile batches, alerts), each
+// registered under its own name, so the stream's records decode straight
+// into the publisher's struct and its JSON field tags are the wire format.
+type TypedJSON[T any] struct{ name string }
+
+// NewTypedJSON returns the JSON serde for *T under the given name.
+func NewTypedJSON[T any](name string) TypedJSON[T] { return TypedJSON[T]{name: name} }
+
+// Name implements Serde.
+func (s TypedJSON[T]) Name() string { return s.name }
+
+// Encode implements Serde.
+func (s TypedJSON[T]) Encode(v any) ([]byte, error) {
+	m, ok := v.(*T)
+	if !ok {
+		return nil, fmt.Errorf("%w: want %T, got %T", ErrWrongType, m, v)
+	}
+	return s.EncodeMsg(m)
+}
+
+// Decode implements Serde.
+func (s TypedJSON[T]) Decode(data []byte) (any, error) { return s.DecodeMsg(data) }
+
+// EncodeMsg is Encode for a caller that already holds a *T.
+func (s TypedJSON[T]) EncodeMsg(m *T) ([]byte, error) { return json.Marshal(m) }
+
+// DecodeMsg is Decode returning the *T itself.
+func (s TypedJSON[T]) DecodeMsg(data []byte) (*T, error) {
+	m := new(T)
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // GobSerde is a generic reflective object serde. It is the Go analog of the
 // Kryo serializer the paper's SamzaSQL prototype used inside its key-value
 // store, and like Kryo it is substantially slower than a schema-driven

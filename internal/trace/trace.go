@@ -9,7 +9,7 @@
 // Discipline: with sampling disabled, the entire surface collapses to a
 // nil/bool check — no allocation, no atomic traffic, no time reads. Every
 // call into this package from a //samzasql:hotpath function must be guarded
-// on the sample bit (enforced by the samzasql-vet trace-guard analyzer).
+// on the sample bit (enforced by the samzasql-vet telemetry-guard analyzer).
 package trace
 
 import "sync/atomic"
