@@ -34,11 +34,15 @@ race:
 verify: vet vet-custom race
 
 # What the GitHub Actions workflow runs: formatting, build, static checks,
-# then the full test tree under the race detector.
+# then the full test tree under the race detector. The perfbench module is
+# vetted too: that compiles the benchmark and its tests against the root
+# packages without writing a binary, so an API change that breaks the
+# benchmark fails here rather than in a benchmark run.
 ci: build
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(MAKE) vet-custom
 	$(GO) test -race ./...
 

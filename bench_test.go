@@ -216,27 +216,29 @@ func BenchmarkAblationJoinSerdeGob(b *testing.B) {
 // The paper notes the router adds little overhead next to message
 // transformation; verify by chaining no-op filters.
 
-func routerWithDepth(b *testing.B, depth int) func(*operators.Tuple) error {
+func routerWithDepth(b *testing.B, depth int) operators.BlockEmit {
 	b.Helper()
-	sink := func(*operators.Tuple) error { return nil }
-	chain := sink
+	chain := operators.BlockEmit(func(*operators.TupleBlock) error { return nil })
 	for i := 0; i < depth; i++ {
 		op, err := operators.NewFilterOp(&expr.Const{V: true, T: types.Boolean})
 		if err != nil {
 			b.Fatal(err)
 		}
 		next := chain
-		chain = func(t *operators.Tuple) error { return op.Process(0, t, next) }
+		chain = func(blk *operators.TupleBlock) error { return op.ProcessBlock(0, blk, next) }
 	}
 	return chain
 }
 
+// benchRouterDepth drives one-row blocks, so ns/op is the per-tuple cost of
+// the chain's dispatch.
 func benchRouterDepth(b *testing.B, depth int) {
 	chain := routerWithDepth(b, depth)
-	t := &operators.Tuple{Row: []any{int64(1), int64(2)}, Ts: 1}
+	blk := &operators.TupleBlock{N: 1, Cols: [][]any{{int64(1)}, {int64(2)}}, Ts: []int64{1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := chain(t); err != nil {
+		blk.SelAll()
+		if err := chain(blk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,15 +274,16 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 	if err := op.Open(ctx); err != nil {
 		b.Fatal(err)
 	}
-	emit := func(*operators.Tuple) error { return nil }
+	emit := func(*operators.TupleBlock) error { return nil }
+	// One-row blocks: the per-tuple store traffic of Algorithm 1.
+	blk := &operators.TupleBlock{Stream: "orders", N: 1, Cols: [][]any{{nil}, {nil}, {nil}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := int64(1_600_000_000_000 + i*10)
-		t := &operators.Tuple{
-			Row: []any{ts, int64(i % 100), int64(i % 100)}, Ts: ts,
-			Stream: "orders", Offset: int64(i),
-		}
-		if err := op.Process(0, t, emit); err != nil {
+		blk.Cols[0][0], blk.Cols[1][0], blk.Cols[2][0] = ts, int64(i%100), int64(i%100)
+		blk.Ts, blk.Keys, blk.Offsets = append(blk.Ts[:0], ts), append(blk.Keys[:0], nil), append(blk.Offsets[:0], int64(i))
+		blk.SelAll()
+		if err := op.ProcessBlock(0, blk, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ func main() {
 		rounds     = flag.Int("rounds", 7, "interleaved rounds per point for -figure telemetry-overhead (median and quartiles)")
 		artifacts  = flag.String("artifacts", "", "directory for raw /profile JSON artifacts from -figure profile-smoke (empty = don't save)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
-		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for SamzaSQL jobs: messages per columnar block (0 = framework default, -1 = per-message scalar path)")
+		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for SamzaSQL jobs: messages per columnar block (0 = framework default, 1 = one message per block)")
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
 		compare    = flag.String("compare", "", "diff measured sql_native_ratio per figure against this baseline JSON report (e.g. the committed BENCH_results.json); exits 3 on a >10% regression")
 	)
@@ -70,8 +70,8 @@ func main() {
 	cfg.ProfileInterval = *profIntv
 	cfg.ProfileWindow = *profWindow
 	cfg.Monitor = *monitorOn
-	if *batchSize < -1 {
-		fatalf("bad -batch-size value %d (want >= -1)", *batchSize)
+	if *batchSize < 0 {
+		fatalf("bad -batch-size value %d (want >= 0; 1 delivers one message per block)", *batchSize)
 	}
 	cfg.BatchSize = *batchSize
 

@@ -39,7 +39,7 @@ func main() {
 		storeCache = flag.Int("store-cache", 0, "wrap task stores of submitted jobs in an LRU object cache of this many entries (0 = per-tuple store path)")
 		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
-		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for submitted jobs: messages per columnar block (0 = framework default, -1 = per-message scalar path)")
+		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for submitted jobs: messages per columnar block (0 = framework default, 1 = one message per block)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces/__profiles into the time-series and hot-function stores, evaluate SLO rules onto __alerts, and enable \\top, \\alerts and \\profile")
 		mInterval  = flag.Duration("metrics-interval", 0, "per-container metrics snapshot period for submitted jobs (default 100ms when -monitor is on, else off)")
 		profIntv   = flag.Duration("profile-interval", 0, "continuous-profiling capture period for submitted jobs (e.g. 1s; default 1s when -monitor is on, 0 = off)")
@@ -63,8 +63,8 @@ func main() {
 		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
 	}
 	engine.TraceSampleRate = *traceRate
-	if *batchSize < -1 {
-		fatalf("bad -batch-size value %d (want >= -1)", *batchSize)
+	if *batchSize < 0 {
+		fatalf("bad -batch-size value %d (want >= 0; 1 delivers one message per block)", *batchSize)
 	}
 	engine.BatchSize = *batchSize
 	if *traceRate > 0 {

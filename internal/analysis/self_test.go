@@ -74,7 +74,7 @@ func TestRepoHasHotpathAnnotations(t *testing.T) {
 	// The interprocedural rules (hotpath-blocking, hotpath-escape) root their
 	// whole-program walks at these annotations, so shrinking the set now
 	// blinds four analyzers, not one. The floor sits well under the current
-	// count (~35) but far above vacuity.
+	// count (32) but far above vacuity.
 	if total < 20 {
 		t.Fatalf("only %d //samzasql:hotpath functions in the tree; the message hot paths must stay annotated", total)
 	}

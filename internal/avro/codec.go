@@ -339,7 +339,7 @@ func decodeValue(data []byte, s *Schema) (any, int, error) {
 			return nil, 0, err
 		}
 		pos += n
-		if ln < 0 || pos+int(ln) > len(data) {
+		if ln < 0 || ln > int64(len(data)-pos) {
 			return nil, 0, ErrTruncated
 		}
 		return string(data[pos : pos+int(ln)]), pos + int(ln), nil
@@ -349,7 +349,7 @@ func decodeValue(data []byte, s *Schema) (any, int, error) {
 			return nil, 0, err
 		}
 		pos += n
-		if ln < 0 || pos+int(ln) > len(data) {
+		if ln < 0 || ln > int64(len(data)-pos) {
 			return nil, 0, ErrTruncated
 		}
 		out := make([]byte, ln)
@@ -412,7 +412,7 @@ func decodeValue(data []byte, s *Schema) (any, int, error) {
 					return nil, 0, err
 				}
 				pos += n
-				if kl < 0 || pos+int(kl) > len(data) {
+				if kl < 0 || kl > int64(len(data)-pos) {
 					return nil, 0, ErrTruncated
 				}
 				key := string(data[pos : pos+int(kl)])
@@ -485,7 +485,7 @@ func skipValue(data []byte, s *Schema) (int, error) {
 			return 0, err
 		}
 		pos += n
-		if ln < 0 || pos+int(ln) > len(data) {
+		if ln < 0 || ln > int64(len(data)-pos) {
 			return 0, ErrTruncated
 		}
 		return pos + int(ln), nil

@@ -17,47 +17,36 @@ import (
 	"samzasql/internal/zk"
 )
 
-// equivCase is one query shape the vectorized batch path must execute with
-// results identical to the per-message scalar path. wantRows computes the
-// expected output count from the deterministic Orders replay so every run
-// can wait for completion instead of guessing at idle timeouts.
+// equivCase is one query shape the block pipeline must execute exactly as
+// the oracle (oracle_test.go) says: layout names the output columns' wire
+// types for the oracle's decoder, and oracle computes the expected output
+// stream from the deterministic Orders replay. Its length also tells every
+// run when it is complete instead of guessing at idle timeouts.
 type equivCase struct {
-	name     string
-	query    string
-	wantRows func(orders [][]any) int
+	name   string
+	query  string
+	layout string
+	oracle func(orders [][]any) []oracleRow
 }
 
 var equivCases = []equivCase{
 	{
-		name:  "filter",
-		query: "SELECT STREAM * FROM Orders WHERE units > 50",
-		wantRows: func(orders [][]any) int {
-			n := 0
-			for _, r := range orders {
-				if r[3].(int64) > 50 {
-					n++
-				}
-			}
-			return n
-		},
+		name:   "filter",
+		query:  "SELECT STREAM * FROM Orders WHERE units > 50",
+		layout: "lllls",
+		oracle: filterOracle,
 	},
 	{
-		name:     "project",
-		query:    "SELECT STREAM rowtime, productId, units FROM Orders",
-		wantRows: func(orders [][]any) int { return len(orders) },
+		name:   "project",
+		query:  "SELECT STREAM rowtime, productId, units FROM Orders",
+		layout: "lll",
+		oracle: projectOracle,
 	},
 	{
-		name:  "computed-scalar",
-		query: "SELECT STREAM productId, units * 2 + 1 FROM Orders WHERE units > 10",
-		wantRows: func(orders [][]any) int {
-			n := 0
-			for _, r := range orders {
-				if r[3].(int64) > 10 {
-					n++
-				}
-			}
-			return n
-		},
+		name:   "computed-scalar",
+		query:  "SELECT STREAM productId, units * 2 + 1 FROM Orders WHERE units > 10",
+		layout: "ll",
+		oracle: computedOracle,
 	},
 	{
 		name: "window",
@@ -65,54 +54,38 @@ var equivCases = []equivCase{
 		  SUM(units) OVER (PARTITION BY productId ORDER BY rowtime
 		    RANGE INTERVAL '10' SECOND PRECEDING) s
 		FROM Orders`,
-		wantRows: func(orders [][]any) int { return len(orders) },
+		layout: "lllll",
+		oracle: slidingSumOracle,
 	},
 	{
 		name: "join",
 		query: `SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId,
 		  Orders.units, Products.supplierId
 		FROM Orders JOIN Products ON Orders.productId = Products.productId`,
-		// Every order matches exactly one product.
-		wantRows: func(orders [][]any) int { return len(orders) },
+		layout: "lllll",
+		oracle: joinOracle,
 	},
 	{
-		name:  "aggregate-grouped",
-		query: "SELECT STREAM productId, COUNT(*), SUM(units) FROM Orders GROUP BY productId",
-		// Early-results policy: every input tuple emits its group's row.
-		wantRows: func(orders [][]any) int { return len(orders) },
+		name:   "aggregate-grouped",
+		query:  "SELECT STREAM productId, COUNT(*), SUM(units) FROM Orders GROUP BY productId",
+		layout: "lll",
+		oracle: groupedOracle,
 	},
 	{
 		name: "aggregate-tumble",
 		query: `SELECT STREAM START(rowtime), END(rowtime), COUNT(*), SUM(units)
 		FROM Orders GROUP BY TUMBLE(rowtime, INTERVAL '1' SECOND)`,
-		// Simulate the operator's watermark protocol over the replay: each
-		// tuple opens its window (end = next 1s boundary after rowtime) when
-		// that end is still ahead of the watermark, then advancing the
-		// watermark to the tuple's rowtime closes every window it passed.
-		// Windows still open at end of input never emit in streaming mode.
-		wantRows: func(orders [][]any) int {
-			const w = int64(1000)
-			var wm int64
-			open := map[int64]bool{}
-			n := 0
-			for _, r := range orders {
-				ts := r[0].(int64)
-				if e := (ts/w + 1) * w; e > wm {
-					open[e] = true
-				}
-				if ts > wm {
-					for end := range open {
-						if end <= ts {
-							n++
-							delete(open, end)
-						}
-					}
-					wm = ts
-				}
-			}
-			return n
-		},
+		layout: "llll",
+		oracle: tumbleOracle,
 	},
+}
+
+// equivBatchSizes is the spread of block sizes every equivalence test
+// runs: one message per block, a prime that leaves a partial final batch,
+// the default 256, and two seeded random sizes.
+func equivBatchSizes() []int {
+	rng := rand.New(rand.NewSource(0x5eed))
+	return []int{1, 7, 256, 2 + rng.Intn(96), 2 + rng.Intn(96)}
 }
 
 // runWithBatchSize executes the query as a streaming job with the given
@@ -154,10 +127,10 @@ func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]
 // changelogDigest folds every changelog topic last-write-wins per (topic,
 // partition, key) — an empty value is a tombstone — so two runs that leave
 // identical durable state produce identical digests no matter how many
-// intermediate versions each wrote. The scalar path writes state once per
-// tuple and the block path once per key per block; equality here proves the
-// batched write-back converges to the same store contents a replay would
-// restore.
+// intermediate versions each wrote. The block path writes state once per
+// key per block, so block sizes differ in how many versions they write;
+// equality here proves the write-back converges to the same store contents
+// a replay would restore at every block size.
 func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 	t.Helper()
 	state := map[string]string{}
@@ -222,35 +195,37 @@ func digest(msgs []kafka.Message) []string {
 func diffDigests(t *testing.T, label string, ref, got []string) {
 	t.Helper()
 	if len(ref) != len(got) {
-		t.Fatalf("%s: %d rows vs scalar's %d", label, len(got), len(ref))
+		t.Fatalf("%s: %d rows vs the first block size's %d", label, len(got), len(ref))
 	}
 	for i := range ref {
 		if ref[i] != got[i] {
-			t.Fatalf("%s: output diverges from scalar path at sorted row %d:\n  scalar: %s\n  batch:  %s", label, i, ref[i], got[i])
+			t.Fatalf("%s: output diverges from the first block size's at sorted row %d:\n  first: %s\n  this:  %s", label, i, ref[i], got[i])
 		}
 	}
 }
 
-// TestBatchScalarEquivalence replays every query shape through the scalar
-// reference path (BatchSize = -1) and a spread of block sizes — 1, a prime
-// that leaves a partial final batch, the default 256, and two seeded random
-// sizes — asserting byte-identical outputs, offsets and timestamps. With a
-// single input partition the task processes a deterministic sequence, so
-// the comparison is exact, not just multiset equality.
+// TestBatchScalarEquivalence replays every query shape at a spread of block
+// sizes and checks each run against the oracle: values and timestamps, in
+// order. With a single input partition the task processes a deterministic
+// sequence, so the runs must also agree with each other byte for byte —
+// outputs, offsets, timestamps and changelog state.
 func TestBatchScalarEquivalence(t *testing.T) {
 	const orders = 457 // not divisible by any tested batch size > 1
-	rng := rand.New(rand.NewSource(0x5eed))
-	sizes := []int{1, 7, 256, 2 + rng.Intn(96), 2 + rng.Intn(96)}
 	replayed := replayOrders(t, orders)
 	for _, c := range equivCases {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.wantRows(replayed)
-			refOut, refState := runWithBatchSize(t, c.query, 1, orders, samza.ScalarBatch, want)
-			ref := digest(refOut)
-			for _, bs := range sizes {
-				gotOut, gotState := runWithBatchSize(t, c.query, 1, orders, bs, want)
-				diffDigests(t, fmt.Sprintf("%s batch=%d", c.name, bs), ref, digest(gotOut))
-				diffDigests(t, fmt.Sprintf("%s batch=%d state", c.name, bs), refState, gotState)
+			want := c.oracle(replayed)
+			var refOut, refState []string
+			for i, bs := range equivBatchSizes() {
+				label := fmt.Sprintf("%s batch=%d", c.name, bs)
+				gotOut, gotState := runWithBatchSize(t, c.query, 1, orders, bs, len(want))
+				checkOracleInOrder(t, label, c.layout, gotOut, want)
+				if i == 0 {
+					refOut, refState = digest(gotOut), gotState
+					continue
+				}
+				diffDigests(t, label, refOut, digest(gotOut))
+				diffDigests(t, label+" state", refState, gotState)
 			}
 		})
 	}
@@ -260,47 +235,56 @@ func TestBatchScalarEquivalence(t *testing.T) {
 // path plus the stream-relation join fed by the intermediate topic: the
 // Clicks scenario is published keyed by userId but joins on productId, so
 // every run routes through RepartitionTask. With a single partition the
-// whole dataflow is a deterministic sequence, so outputs, offsets and
-// changelog state must match the scalar reference byte for byte.
+// whole dataflow is a deterministic sequence, so every run must match the
+// oracle in order, and outputs, offsets and changelog state must match
+// across block sizes byte for byte.
 func TestBatchScalarEquivalenceRepartition(t *testing.T) {
 	const clicks = 300
-	run := func(batchSize int) ([]kafka.Message, []string) {
+	want := clicksJoinOracle(clicks)
+	var refOut, refState []string
+	for i, bs := range equivBatchSizes() {
+		label := fmt.Sprintf("repartition batch=%d", bs)
 		e := clicksEngine(t, 1)
 		produceClicks(t, e, clicks)
-		return runOnEngine(t, e, clicksJoin, batchSize, clicks)
-	}
-	refOut, refState := run(samza.ScalarBatch)
-	ref := digest(refOut)
-	for _, bs := range []int{1, 7, 256} {
-		gotOut, gotState := run(bs)
-		diffDigests(t, fmt.Sprintf("repartition batch=%d", bs), ref, digest(gotOut))
-		diffDigests(t, fmt.Sprintf("repartition batch=%d state", bs), refState, gotState)
+		gotOut, gotState := runOnEngine(t, e, clicksJoin, bs, len(want))
+		checkOracleInOrder(t, label, "llll", gotOut, want)
+		if i == 0 {
+			refOut, refState = digest(gotOut), gotState
+			continue
+		}
+		diffDigests(t, label, refOut, digest(gotOut))
+		diffDigests(t, label+" state", refState, gotState)
 	}
 }
 
 // TestBatchScalarEquivalenceMultiPartition re-checks the filter and
-// computed-projection kernels with several input partitions. Task
-// interleaving makes cross-partition output order nondeterministic, so the
-// comparison drops offsets and matches the (key, value) multiset instead.
+// projection kernels with several input partitions. Task interleaving makes
+// cross-partition output order nondeterministic, so each run must match the
+// oracle as a multiset, and the runs' (key, value) multisets must agree.
 func TestBatchScalarEquivalenceMultiPartition(t *testing.T) {
 	const orders = 311
 	replayed := replayOrders(t, orders)
+	values := func(msgs []kafka.Message) []string {
+		out := make([]string, 0, len(msgs))
+		for _, m := range msgs {
+			out = append(out, fmt.Sprintf("k=%x v=%x", m.Key, m.Value))
+		}
+		sort.Strings(out)
+		return out
+	}
 	for _, c := range equivCases[:3] {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.wantRows(replayed)
-			values := func(msgs []kafka.Message) []string {
-				out := make([]string, 0, len(msgs))
-				for _, m := range msgs {
-					out = append(out, fmt.Sprintf("k=%x v=%x", m.Key, m.Value))
+			want := c.oracle(replayed)
+			var ref []string
+			for i, bs := range equivBatchSizes() {
+				label := fmt.Sprintf("%s batch=%d", c.name, bs)
+				gotOut, _ := runWithBatchSize(t, c.query, 3, orders, bs, len(want))
+				checkOracleMultiset(t, label, c.layout, gotOut, want)
+				if i == 0 {
+					ref = values(gotOut)
+					continue
 				}
-				sort.Strings(out)
-				return out
-			}
-			refOut, _ := runWithBatchSize(t, c.query, 3, orders, samza.ScalarBatch, want)
-			ref := values(refOut)
-			for _, bs := range []int{1, 13, 256} {
-				gotOut, _ := runWithBatchSize(t, c.query, 3, orders, bs, want)
-				diffDigests(t, fmt.Sprintf("%s batch=%d", c.name, bs), ref, values(gotOut))
+				diffDigests(t, label, ref, values(gotOut))
 			}
 		})
 	}

@@ -51,6 +51,11 @@ func clicksEngine(t *testing.T, partitions int32) *Engine {
 	return NewEngine(cat, broker, samza.NewJobRunner(broker, cluster), zk.NewStore())
 }
 
+// clickRow is the i-th generated Clicks row: rowtime, userId, productId.
+func clickRow(i int) []any {
+	return []any{int64(1_600_000_000_000 + i*10), int64(i % 7), int64(i % 100)}
+}
+
 func produceClicks(t *testing.T, e *Engine, count int) {
 	t.Helper()
 	codec := avro.MustCodec(avro.Record("Clicks",
@@ -59,7 +64,7 @@ func produceClicks(t *testing.T, e *Engine, count int) {
 		avro.F("productId", avro.Long()),
 	))
 	for i := 0; i < count; i++ {
-		row := []any{int64(1_600_000_000_000 + i*10), int64(i % 7), int64(i % 100)}
+		row := clickRow(i)
 		value, err := codec.EncodeRow(row)
 		if err != nil {
 			t.Fatal(err)

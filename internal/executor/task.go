@@ -18,8 +18,10 @@ import (
 
 // Task is the SamzaSQL stream task (§2, §4.2): a Samza StreamTask whose
 // Init performs the second planning step — it loads the query text from
-// Zookeeper, re-plans it, generates the operator router — and whose Process
-// routes each message through the generated operators.
+// Zookeeper, re-plans it, generates the operator router — and whose
+// ProcessBatch runs each polled batch through the generated operators as
+// one block. The container delivers every message of a SQL job, relation
+// bootstrap included, through ProcessBatch.
 type Task struct {
 	catalog  *catalog.Catalog
 	zk       *zk.Store
@@ -34,6 +36,10 @@ type Task struct {
 	// Program, routing stays goroutine-confined under task parallelism.
 	bound samza.MessageCollector
 }
+
+// Task is a BatchedStreamTask, so the container hands it every message,
+// bootstrap included, through ProcessBatch.
+var _ samza.BatchedStreamTask = (*Task)(nil)
 
 // NewTask builds an uninitialized SamzaSQL task.
 func NewTask(cat *catalog.Catalog, zkStore *zk.Store, optimize bool) *Task {
@@ -117,7 +123,9 @@ func (t *Task) bindSender(collector samza.MessageCollector) {
 	}
 }
 
-// Process implements samza.StreamTask: decode, route, emit.
+// Process implements samza.StreamTask for drivers that hold one message at
+// a time: it runs the message as a one-row block (or through the fused
+// fast path).
 //
 //samzasql:hotpath
 func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator) error {
@@ -128,8 +136,7 @@ func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.Messag
 }
 
 // ProcessBatch implements samza.BatchedStreamTask: the whole polled batch
-// flows through the program's vectorized pipeline (or, for plans without
-// one, through the per-tuple router message by message).
+// flows through the program's block chain (or the fused fast path).
 //
 //samzasql:hotpath
 func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, pollNs int64) error {

@@ -61,11 +61,6 @@ type StreamAggregateOp struct {
 	blkKeys    [][]byte
 	blkVals    [][]byte
 	blkOks     []bool
-	// wmSink appends watermark-closed windows to the block path's output
-	// block; bound once in Open (a per-block closure would escape in the
-	// hot path). wmOut is the live call's output block.
-	wmSink Emit
-	wmOut  *TupleBlock
 }
 
 // aggBlockState is one group's (or one (window, group)'s) state while a
@@ -112,101 +107,6 @@ func (o *StreamAggregateOp) Open(ctx *OpContext) error {
 	if v, ok := o.store.Get([]byte("wm")); ok && len(v) == 8 {
 		o.watermark = int64(binary.BigEndian.Uint64(v))
 	}
-	o.wmSink = func(t *Tuple) error {
-		o.wmOut.appendRow(t.Row, t.Ts, t.Key, t.Offset)
-		return nil
-	}
-	return nil
-}
-
-// Process implements Operator.
-func (o *StreamAggregateOp) Process(_ int, t *Tuple, emit Emit) error {
-	keyVals := make([]any, len(o.keyEvals))
-	for i, ev := range o.keyEvals {
-		v, err := ev(t.Row)
-		if err != nil {
-			return fmt.Errorf("operators: group key: %w", err)
-		}
-		keyVals[i] = v
-	}
-	if o.window == nil {
-		return o.processUnwindowed(keyVals, t, emit)
-	}
-	return o.processWindowed(keyVals, t, emit)
-}
-
-func (o *StreamAggregateOp) processUnwindowed(keyVals []any, t *Tuple, emit Emit) error {
-	storeKey, err := o.encodeKey(0, keyVals)
-	if err != nil {
-		return err
-	}
-	set, offsets, err := o.loadSet(storeKey)
-	if err != nil {
-		return err
-	}
-	// Replay dedup (§4.3): the state row remembers the last offset applied
-	// per source partition; re-delivered messages are no-ops, no output.
-	src := o.sources.key(t)
-	if offsets.seen(src, t.Offset) {
-		return nil
-	}
-	if err := set.Add(t.Row); err != nil {
-		return err
-	}
-	if err := o.saveSet(storeKey, set, offsets.update(src, t.Offset)); err != nil {
-		return err
-	}
-	// Early-results policy: emit the group's current row.
-	row := append(append([]any(nil), keyVals...), set.Values()...)
-	return emit(&Tuple{
-		Row: row, Ts: t.Ts, Key: storeKey,
-		Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-	})
-}
-
-func (o *StreamAggregateOp) processWindowed(keyVals []any, t *Tuple, emit Emit) error {
-	tsv, err := o.tsEval(t.Row)
-	if err != nil {
-		return fmt.Errorf("operators: window timestamp: %w", err)
-	}
-	ts, ok := tsv.(int64)
-	if !ok {
-		return fmt.Errorf("operators: window timestamp is %T", tsv)
-	}
-	// Window ends are the emit boundaries e ≡ align (mod emit) with
-	// e in (ts, ts+retain]; each window covers [e-retain, e).
-	emitEvery := o.window.EmitMillis
-	retain := o.window.RetainMillis
-	align := o.window.AlignMillis
-	first := nextBoundary(ts, emitEvery, align)
-	for e := first; e <= ts+retain; e += emitEvery {
-		if e <= o.watermark {
-			continue // window already emitted; late tuple contribution dropped
-		}
-		storeKey, err := o.encodeKey(e, keyVals)
-		if err != nil {
-			return err
-		}
-		set, offsets, err := o.loadSet(storeKey)
-		if err != nil {
-			return err
-		}
-		src := o.sources.key(t)
-		if offsets.seen(src, t.Offset) {
-			continue // replayed message already contributed to this window
-		}
-		set.SetWindow(e-retain, e)
-		if err := set.Add(t.Row); err != nil {
-			return err
-		}
-		if err := o.saveSet(storeKey, set, offsets.update(src, t.Offset)); err != nil {
-			return err
-		}
-	}
-	// Advance the watermark and close any windows it passed.
-	if ts > o.watermark {
-		return o.advanceWatermark(ts, emit, t)
-	}
 	return nil
 }
 
@@ -221,9 +121,10 @@ func nextBoundary(ts, every, align int64) int64 {
 	return e
 }
 
-// advanceWatermark emits every stored window whose end is <= the new
-// watermark, then persists it.
-func (o *StreamAggregateOp) advanceWatermark(ts int64, emit Emit, src *Tuple) error {
+// advanceWatermark appends every stored window whose end is <= the new
+// watermark to out, stamped with its end and the given source offset, then
+// persists the watermark.
+func (o *StreamAggregateOp) advanceWatermark(ts int64, out *TupleBlock, offset int64) error {
 	// Window store keys are "w:"+bigendian(end)+keyBytes, so a range scan
 	// up to the new watermark finds exactly the closed windows in end
 	// order — deterministic emission.
@@ -238,12 +139,7 @@ func (o *StreamAggregateOp) advanceWatermark(ts int64, emit Emit, src *Tuple) er
 		}
 		set.SetWindow(winEnd-o.window.RetainMillis, winEnd)
 		row := append(append([]any(nil), keyVals...), set.Values()...)
-		if err := emit(&Tuple{
-			Row: row, Ts: winEnd, Key: e.Key,
-			Stream: src.Stream, Partition: src.Partition, Offset: src.Offset,
-		}); err != nil {
-			return err
-		}
+		out.appendRow(row, winEnd, e.Key, offset)
 		o.store.Delete(e.Key)
 	}
 	o.watermark = ts
@@ -259,14 +155,21 @@ func u64be(v uint64) []byte {
 	return b[:]
 }
 
-// FlushFinal emits every window still open. The bounded (table-mode)
-// executor calls this at end of input, where "the history of the stream up
-// to the point of execution" (§3.3) is complete and all windows close.
-func (o *StreamAggregateOp) FlushFinal(emit Emit) error {
+// FlushFinal emits every window still open as one block. The bounded
+// (table-mode) executor calls this at end of input, where "the history of
+// the stream up to the point of execution" (§3.3) is complete and all
+// windows close.
+func (o *StreamAggregateOp) FlushFinal(emit BlockEmit) error {
 	if o.window == nil {
 		return nil // unwindowed groups already emitted their latest rows
 	}
-	return o.advanceWatermark(int64(1)<<62, emit, &Tuple{})
+	out := &o.outBlock
+	out.resetOut(&TupleBlock{}, len(o.keyEvals)+len(o.aggs))
+	if err := o.advanceWatermark(int64(1)<<62, out, 0); err != nil {
+		return err
+	}
+	out.finishOut()
+	return emit(out)
 }
 
 // encodeKey builds the store key "w:" + windowEnd + object(groupKey).
@@ -306,16 +209,8 @@ func (o *StreamAggregateOp) decodeEntry(e kv.Entry) ([]any, *AccumSet, error) {
 	return keyVals, set, nil
 }
 
-// loadSet returns the accumulator set plus the per-source offset vector of
-// messages already folded in.
-func (o *StreamAggregateOp) loadSet(storeKey []byte) (*AccumSet, offsetVector, error) {
-	v, ok := o.store.Get(storeKey)
-	return o.decodeSet(v, ok)
-}
-
 // decodeSet builds the accumulator set and offset vector from stored state
-// bytes; ok=false yields a fresh empty set. Shared by the scalar load path
-// and the block path's batched miss fill.
+// bytes; ok=false yields a fresh empty set.
 func (o *StreamAggregateOp) decodeSet(v []byte, ok bool) (*AccumSet, offsetVector, error) {
 	set := NewAccumSetWith(o.aggs, o.argEvals, o.accumCtors)
 	if !ok {

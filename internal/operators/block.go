@@ -1,24 +1,20 @@
 package operators
 
-import (
-	"fmt"
-	"time"
+import "samzasql/internal/kafka"
 
-	"samzasql/internal/kafka"
-)
+// This file defines the unit of execution. Instead of routing one tuple per
+// virtual dispatch (the tuple-at-a-time model of Figure 4), the container
+// drains up to BatchSize messages from one topic-partition into a reusable
+// columnar TupleBlock, the scan decodes the whole block in one call, and
+// each operator's ProcessBlock runs the full block per dispatch, refining a
+// selection vector instead of materializing intermediate tuples. Selected
+// rows flush to the producer through one batched send. Allocation
+// discipline is per-block, not per-tuple: column vectors and the output
+// byte slab amortize across the rows of a block. A block may hold a single
+// row: messages that arrive one at a time run as one-row blocks.
 
-// This file implements the vectorized execution path: instead of routing
-// one tuple per virtual dispatch (the tuple-at-a-time model of Figure 4),
-// the container drains up to BatchSize messages from one topic-partition
-// into a reusable columnar TupleBlock, the scan decodes the whole block in
-// one call, and each operator's ProcessBlock runs the full block per
-// dispatch, refining a selection vector instead of materializing
-// intermediate tuples. Selected rows flush to the producer through one
-// batched send. Allocation discipline is per-block, not per-tuple: column
-// vectors and the output byte slab amortize across the rows of a block.
-
-// TupleBlock is a batch of rows in columnar layout: the unit of work of the
-// vectorized path. Column vectors and per-row attribute slices are arenas
+// TupleBlock is a batch of rows in columnar layout: the unit of work of
+// every operator. Column vectors and per-row attribute slices are arenas
 // owned by whoever built the block and reused across batches; only the
 // output byte slab is freshly allocated per block (the broker retains sent
 // value slices).
@@ -152,14 +148,6 @@ func (b *TupleBlock) finishOut() {
 // BlockEmit passes a block to the next operator stage.
 type BlockEmit func(b *TupleBlock) error
 
-// BlockOperator is an operator with a vectorized path: ProcessBlock handles
-// a whole block per call, emitting blocks downstream. Operators without it
-// force the program back to the per-tuple router.
-type BlockOperator interface {
-	Operator
-	ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error
-}
-
 // BlockSpan is one completed batch-level stage span: the stage ran once for
 // the whole block, covering Rows selected rows.
 type BlockSpan struct {
@@ -183,250 +171,3 @@ func (t *BlockTrace) Reset() { t.Spans = t.Spans[:0] }
 // copied by the broker, but key/value slices are retained — senders must
 // hand over freshly allocated (per-block) payload slabs.
 type BatchSender func(stream string, msgs []kafka.Message) error
-
-// DecodeBlock decodes the block's raw messages into its column vectors —
-// the AvroToArray step of Figure 4 amortized to one virtual dispatch and
-// one metrics/latency observation per block. Event timestamps refresh from
-// the declared timestamp column as in Decode. The block arrives with Raw,
-// Keys, Ts and Offsets filled for N rows; all rows become selected.
-//
-//samzasql:hotpath
-func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
-	start := time.Now()
-	arity := len(s.Codec.Schema().Fields)
-	b.sizeCols(arity, b.N)
-	if cap(s.rowScratch) < arity {
-		s.rowScratch = make([]any, arity)
-	}
-	row := s.rowScratch[:arity]
-	var bytes int64
-	for r := 0; r < b.N; r++ {
-		bytes += int64(len(b.Raw[r]))
-		row, err := s.Codec.DecodeRow(b.Raw[r], row)
-		if err != nil {
-			return fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
-		}
-		for c := 0; c < arity; c++ {
-			b.Cols[c][r] = row[c]
-		}
-		if s.TsIdx >= 0 && s.TsIdx < arity {
-			if ts, ok := row[s.TsIdx].(int64); ok {
-				b.Ts[r] = ts
-			}
-		}
-	}
-	if s.bytesIn != nil {
-		s.bytesIn.Add(bytes)
-		s.decodeLat.Observe(time.Since(start).Nanoseconds())
-	}
-	b.SelAll()
-	return nil
-}
-
-// ProcessBlock implements BlockOperator for FilterOp: it evaluates the
-// condition over each selected row and refines the selection vector in
-// place — rows are never copied or compacted.
-//
-//samzasql:hotpath
-func (f *FilterOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if cap(f.rowScratch) < len(b.Cols) {
-		f.rowScratch = make([]any, len(b.Cols))
-	}
-	row := f.rowScratch[:len(b.Cols)]
-	sel := b.Sel[:0]
-	for _, r := range b.Sel {
-		row = b.gather(r, row)
-		v, err := f.cond(row)
-		if err != nil {
-			return fmt.Errorf("operators: filter: %w", err)
-		}
-		if keep, ok := v.(bool); ok && keep {
-			sel = append(sel, r)
-		}
-	}
-	b.Sel = sel
-	return emit(b)
-}
-
-// ProcessBlock implements BlockOperator for ProjectOp: it evaluates the
-// output expressions over the selected rows into an operator-owned output
-// block (compacting the selection), refreshing event timestamps from the
-// output timestamp column when one is declared.
-//
-//samzasql:hotpath
-func (p *ProjectOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if p.Identity {
-		// SELECT *: every expression is its own input column, so the block
-		// passes through untouched — selection, columns and raw encodings
-		// intact. The out counter still sees len(Sel) via WrapBlockEmit.
-		// Only the timestamp refresh is applied, matching the scalar path
-		// when the projection's timestamp column differs from the scan's.
-		if p.TsIdx >= 0 && p.TsIdx < len(b.Cols) {
-			for _, r := range b.Sel {
-				if t, ok := b.Cols[p.TsIdx][r].(int64); ok {
-					b.Ts[r] = t
-				}
-			}
-		}
-		return emit(b)
-	}
-	if cap(p.rowScratch) < len(b.Cols) {
-		p.rowScratch = make([]any, len(b.Cols))
-	}
-	row := p.rowScratch[:len(b.Cols)]
-	out := &p.outBlock
-	n := len(b.Sel)
-	out.Stream = b.Stream
-	out.Partition = b.Partition
-	out.N = n
-	out.sizeCols(len(p.evals), n)
-	out.Ts = out.Ts[:0]
-	out.Keys = out.Keys[:0]
-	out.Offsets = out.Offsets[:0]
-	out.Raw = out.Raw[:0]
-	out.Trace = b.Trace
-	for k, r := range b.Sel {
-		row = b.gather(r, row)
-		ts := b.Ts[r]
-		for c, ev := range p.evals {
-			v, err := ev(row)
-			if err != nil {
-				return fmt.Errorf("operators: project: %w", err)
-			}
-			out.Cols[c][k] = v
-		}
-		if p.TsIdx >= 0 && p.TsIdx < len(p.evals) {
-			if t, ok := out.Cols[p.TsIdx][k].(int64); ok {
-				ts = t
-			}
-		}
-		out.Ts = append(out.Ts, ts)
-		out.Keys = append(out.Keys, b.Keys[r])
-		out.Offsets = append(out.Offsets, b.Offsets[r])
-	}
-	out.SelAll()
-	return emit(out)
-}
-
-// ProcessBlock implements BlockOperator for InsertOp: it encodes every
-// selected row into one per-block byte slab (the ArrayToAvro step amortized
-// across the block) and flushes the block's messages through one batched
-// send when a BatchSender is bound, falling back to per-row sends
-// otherwise. The slab is freshly allocated per block because the broker
-// retains sent value slices; the message and offset scratches are reused.
-//
-//samzasql:hotpath
-func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if cap(i.rowScratch) < len(b.Cols) {
-		i.rowScratch = make([]any, len(b.Cols))
-	}
-	row := i.rowScratch[:len(b.Cols)]
-	slab := make([]byte, 0, i.slabHint)
-	offs := i.offScratch[:0]
-	var err error
-	for _, r := range b.Sel {
-		row = b.gather(r, row)
-		start := len(slab)
-		slab, err = i.Codec.AppendEncodeRow(slab, row)
-		if err != nil {
-			return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
-		}
-		offs = append(offs, start, len(slab))
-	}
-	i.offScratch = offs
-	if len(slab) > i.slabHint {
-		i.slabHint = len(slab)
-	}
-	if i.bytesOut != nil {
-		i.bytesOut.Add(int64(len(slab)))
-	}
-	if i.SendBatch != nil {
-		msgs := i.msgScratch[:0]
-		for k, r := range b.Sel {
-			partition := b.Partition
-			var key []byte
-			if i.KeyByTupleKey && len(b.Keys[r]) > 0 {
-				key = b.Keys[r]
-				partition = -1
-			}
-			msgs = append(msgs, kafka.Message{
-				Partition: partition,
-				Key:       key,
-				Value:     slab[offs[2*k]:offs[2*k+1]:offs[2*k+1]],
-				Timestamp: b.Ts[r],
-			})
-		}
-		i.msgScratch = msgs
-		if len(msgs) > 0 {
-			if err := i.SendBatch(i.Target, msgs); err != nil {
-				return err
-			}
-		}
-	} else {
-		for k, r := range b.Sel {
-			partition := b.Partition
-			var key []byte
-			if i.KeyByTupleKey && len(b.Keys[r]) > 0 {
-				key = b.Keys[r]
-				partition = -1
-			}
-			value := slab[offs[2*k]:offs[2*k+1]:offs[2*k+1]]
-			if err := i.Send(i.Target, partition, key, value, b.Ts[r]); err != nil {
-				return err
-			}
-		}
-	}
-	if emit != nil {
-		return emit(b)
-	}
-	return nil
-}
-
-// BlockOp returns the wrapped operator's vectorized path, or nil when it
-// has none (which forces the program back to per-tuple routing).
-func (i *Instrumented) BlockOp() (BlockOperator, bool) {
-	bop, ok := i.Op.(BlockOperator)
-	return bop, ok
-}
-
-// ProcessBlock implements BlockOperator, timing the wrapped block call —
-// one latency observation per block instead of per tuple. When the block
-// carries a trace log, the stage's span (with its input row count) is
-// appended for replay onto the block's sampled messages.
-//
-//samzasql:hotpath
-func (i *Instrumented) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
-	bop, ok := i.Op.(BlockOperator)
-	if !ok {
-		return fmt.Errorf("operators: %s has no block path", i.name)
-	}
-	if i.lat == nil && b.Trace == nil {
-		return bop.ProcessBlock(side, b, emit)
-	}
-	rows := int64(len(b.Sel))
-	tr := b.Trace
-	start := time.Now()
-	err := bop.ProcessBlock(side, b, emit)
-	d := time.Since(start).Nanoseconds()
-	if i.lat != nil {
-		i.lat.Observe(d)
-	}
-	if tr != nil {
-		startNs := start.UnixNano()
-		tr.Spans = append(tr.Spans, BlockSpan{Stage: i.stage, StartNs: startNs, EndNs: startNs + d, Rows: rows})
-	}
-	return err
-}
-
-// WrapBlockEmit returns a block emit that counts this operator's output
-// rows (the emitted block's selected rows) before passing it downstream,
-// keeping the "operator.<name>.out" counters identical to the scalar
-// path's.
-func (i *Instrumented) WrapBlockEmit(downstream BlockEmit) BlockEmit {
-	return func(b *TupleBlock) error {
-		if i.out != nil {
-			i.out.Add(int64(len(b.Sel)))
-		}
-		return downstream(b)
-	}
-}

@@ -34,7 +34,7 @@ func fillWindowBlock(b *TupleBlock, n, parts, runLen int, baseTs, baseOff int64,
 // clustering design bounds the per-row count by a small constant independent
 // of block size: state loads, decodes and write-backs are paid per distinct
 // key per block, not per row. The budget has headroom over the measured
-// value (~5.4) while staying far below the scalar path's per-tuple cost.
+// value (~5.4).
 func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 1000, 0, false)})
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"samzasql/internal/kv"
 )
 
-// Vectorized paths for the stateful operators: sliding window, streaming
+// Block paths for the stateful operators: sliding window, streaming
 // aggregate, stream-relation join, stream-stream join. The shared scheme is
 // per-block group clustering — evaluate key expressions columnarly over the
 // block, encode each group/join key once per distinct key (adjacent equal
@@ -17,9 +17,9 @@ import (
 // write the state back once per key per block instead of once per tuple.
 //
 // Output rows are emitted in input-row order (window emissions in window-end
-// order), so a block-path program produces byte-identical output in the
-// identical sequence to the scalar per-tuple path — the property the
-// batch-vs-scalar equivalence tests pin.
+// order), so a program produces byte-identical output in the identical
+// sequence at every block size, one-row blocks included — the property the
+// batch-equivalence tests pin against an independent oracle.
 
 // runEqual reports whether two consecutive key values are equal, for the
 // scalar types worth run-detecting. Other types report comparable=false and
@@ -38,14 +38,13 @@ func runEqual(a, b any) (eq, ok bool) {
 
 // ----- SlidingWindowOp -----
 
-// ProcessBlock implements BlockOperator: Algorithm 1 over a whole block.
+// ProcessBlock implements Operator: Algorithm 1 over a whole block.
 // Per analytic call it clusters the block's rows by partition key, loads
 // each distinct key's window state once (batched), folds the key's rows in
-// offset order through the same per-tuple steps as the scalar path, and
-// persists each modified state once. The output block carries one row per
-// selected input row — input columns plus one value column per call — with
-// replayed rows (already-applied offsets) deselected, matching the scalar
-// path's suppressed emits.
+// offset order one tuple at a time (foldTuple), and persists each modified
+// state once. The output block carries one row per selected input row —
+// input columns plus one value column per call — with replayed rows
+// (already-applied offsets) deselected: a replay emits nothing.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -83,8 +82,8 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 		}
 	}
 	o.blkReplay = replay
-	// Replayed rows (detected on call 0, like the scalar path) are
-	// deselected rather than compacted; downstream stages honor Sel.
+	// Replayed rows (detected on call 0) are deselected rather than
+	// compacted; downstream stages honor Sel.
 	sel := out.Sel[:0]
 	for k := 0; k < nSel; k++ {
 		if !replay[k] {
@@ -160,8 +159,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	}
 
 	// Pass 3: fold the rows in offset order against the block-resident
-	// states — the same steps as the scalar processCall, minus the per-tuple
-	// load and save.
+	// states, with no per-tuple load or save.
 	for k, r := range b.Sel {
 		o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pks[k])
 		ws := states[string(o.sbuf)]
@@ -228,7 +226,7 @@ func (o *SlidingWindowOp) resetBlockStates() map[string]*windowState {
 // loadStatesBatch fills the block state map for the distinct state keys:
 // cache-resident decoded states come from one GetObjectMany, everything
 // else from one batched byte read (which, over a CachedStore, also caches
-// the entries exactly as the scalar per-tuple Get would).
+// the entries as a point Get would).
 func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
 	miss := keys
 	if o.cache != nil {
@@ -291,13 +289,13 @@ func appendWindowKey(buf []byte, end int64, kb []byte) []byte {
 	return append(buf, kb...)
 }
 
-// ProcessBlock implements BlockOperator for the streaming aggregate. Both
+// ProcessBlock implements Operator for the streaming aggregate. Both
 // modes cluster the block by group key and load each distinct key's
 // accumulator set through one batched read. Unwindowed groups emit their
 // updated row per input tuple (early results), in input order; windowed
 // groups buffer contributions against a locally advancing watermark and
 // emit every closed window once, in window-end order — the same sequence
-// the scalar path's per-tuple watermark advances produce.
+// per-tuple watermark advances would produce.
 //
 //samzasql:hotpath
 func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -534,7 +532,7 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	}
 
 	// Pass 3: fold contributions against a locally advancing watermark —
-	// the same drop decisions the scalar path makes tuple by tuple.
+	// the same drop decisions a tuple-by-tuple advance makes.
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	wmLocal := o.watermark
 	for k, r := range b.Sel {
@@ -566,8 +564,8 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	// block's watermark passed with one advance. Deferring the advance to
 	// the block boundary emits the identical window set in the identical
 	// (end-order) sequence: contributions to a window past the local
-	// watermark were dropped above, exactly as the scalar path drops them
-	// after its own mid-stream advances.
+	// watermark were dropped above, exactly as a mid-block advance would
+	// have dropped them.
 	for _, sk := range keys {
 		st := states[string(sk)]
 		if !st.dirty {
@@ -579,12 +577,7 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 		}
 	}
 	if wmLocal > o.watermark {
-		last := b.Sel[len(b.Sel)-1]
-		srcT := Tuple{Stream: b.Stream, Partition: b.Partition, Offset: b.Offsets[last]}
-		o.wmOut = out
-		err := o.advanceWatermark(wmLocal, o.wmSink, &srcT)
-		o.wmOut = nil
-		return err
+		return o.advanceWatermark(wmLocal, out, b.Offsets[b.Sel[len(b.Sel)-1]])
 	}
 	return nil
 }
@@ -613,8 +606,8 @@ func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
 	return out
 }
 
-// ProcessBlock implements BlockOperator. Relation-side blocks update the
-// cached relation row per tuple and emit nothing, like the scalar path.
+// ProcessBlock implements Operator. Relation-side blocks update the
+// cached relation row per tuple and emit nothing.
 // Stream-side blocks evaluate the join key columnarly, resolve every
 // distinct key with one batched read (decoded-object cache first, then
 // bytes), and emit the matching combined rows in input order.
@@ -727,7 +720,7 @@ func (o *StreamRelationJoinOp) resetRelMap() map[string][]any {
 
 // resolveRelBatch fills rel for the distinct relation keys: decoded rows
 // from one GetObjectMany when the cache is on, everything else through one
-// batched byte read plus decode (cache-memoized like the scalar probe).
+// batched byte read plus decode (memoized in the cache).
 func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte, rel map[string][]any) error {
 	miss := keys
 	if o.cache != nil {
@@ -778,11 +771,11 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte, rel map[string][]a
 
 // ----- StreamStreamJoinOp -----
 
-// ProcessBlock implements BlockOperator: the windowed side state stays
+// ProcessBlock implements Operator: the windowed side state stays
 // range-probed per tuple (write-once keys a point cache or batched point
 // read cannot serve), but the block path amortizes dispatch and
 // instrumentation and assembles all matches into one output block, emitted
-// in probe order — identical to the scalar emission sequence.
+// in probe order.
 //
 //samzasql:hotpath
 func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {

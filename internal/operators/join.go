@@ -96,25 +96,9 @@ func (o *StreamRelationJoinOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// Process implements Operator. Side 0 carries stream tuples, side 1 carries
-// relation changelog tuples (regardless of SQL-side order; the physical
-// planner routes accordingly).
-func (o *StreamRelationJoinOp) Process(side int, t *Tuple, emit Emit) error {
-	if side == RightSide {
-		return o.processRelation(t)
-	}
-	return o.processStream(t, emit)
-}
-
-// processRelation caches the latest relation row under its join key.
-func (o *StreamRelationJoinOp) processRelation(t *Tuple) error {
-	return o.processRelationRow(t.Row)
-}
-
-// processRelationRow is the row-level relation update, shared by the scalar
-// and block paths.
+// processRelationRow caches the latest relation row under its join key.
 func (o *StreamRelationJoinOp) processRelationRow(row []any) error {
-	combined := o.combine(nil, row)
+	combined := o.combineInto(nil, row)
 	kval, err := o.relKey(combined)
 	if err != nil {
 		return fmt.Errorf("operators: relation join key: %w", err)
@@ -140,69 +124,6 @@ func (o *StreamRelationJoinOp) processRelationRow(row []any) error {
 	}
 	o.store.raw.Put(rk, val)
 	return nil
-}
-
-// processStream joins one stream tuple against the cached relation.
-//
-//samzasql:hotpath
-func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
-	probe := o.combine(t.Row, nil)
-	kval, err := o.keyEval(probe)
-	if err != nil {
-		return fmt.Errorf("operators: stream join key: %w", err)
-	}
-	key, err := encodeGroupKey(o.store.obj, []any{kval})
-	if err != nil {
-		return err
-	}
-	rk := append([]byte("r:"), key...)
-	var relRow []any
-	if o.cache != nil {
-		if obj, ok := o.cache.GetObject(rk); ok {
-			relRow = obj.([]any)
-		}
-	}
-	if relRow == nil {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		raw, ok := o.store.raw.Get(rk)
-		if !ok {
-			return nil // inner join: no match, no output
-		}
-		relRowAny, err := o.store.obj.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("operators: relation row decode: %w", err)
-		}
-		relRow = relRowAny.([]any)
-		if o.cache != nil {
-			o.cache.CacheObject(rk, relRow)
-		}
-	}
-	combined := o.combine(t.Row, relRow)
-	v, err := o.residual(combined)
-	if err != nil {
-		return fmt.Errorf("operators: join condition: %w", err)
-	}
-	if b, ok := v.(bool); !ok || !b {
-		return nil
-	}
-	return emit(&Tuple{
-		Row: combined, Ts: t.Ts, Key: t.Key,
-		Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-	})
-}
-
-// combine lays out the combined row with the stream side in its SQL
-// position. Missing sides are nil-filled.
-func (o *StreamRelationJoinOp) combine(streamRow, relRow []any) []any {
-	out := make([]any, o.leftArity+o.rightArity)
-	if o.StreamIsLeft {
-		copy(out, streamRow)
-		copy(out[o.leftArity:], relRow)
-	} else {
-		copy(out, relRow)
-		copy(out[o.leftArity:], streamRow)
-	}
-	return out
 }
 
 // storeView pairs a raw store with the generic object serde (the paper's
@@ -238,14 +159,6 @@ type StreamStreamJoinOp struct {
 	blkTs      int64
 	blkOff     int64
 	blkKey     []byte
-
-	// Scalar-path scratch: emitSink wraps the caller's emit the same way
-	// blkSink wraps the output block — bound once in Open so Process does
-	// not allocate a closure per tuple; curEmit/curT carry the live call's
-	// emit and tuple into it.
-	emitSink func(full []any) error
-	curEmit  Emit
-	curT     *Tuple
 }
 
 // NewStreamStreamJoinOp builds the operator.
@@ -277,29 +190,14 @@ func (o *StreamStreamJoinOp) Open(ctx *OpContext) error {
 		o.outBlock.appendRow(full, o.blkTs, o.blkKey, o.blkOff)
 		return nil
 	}
-	o.emitSink = func(full []any) error {
-		t := o.curT
-		return o.curEmit(&Tuple{
-			Row: full, Ts: t.Ts, Key: t.Key,
-			Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-		})
-	}
 	return nil
 }
 
-// Process implements Operator: side 0 = left stream, side 1 = right stream.
-func (o *StreamStreamJoinOp) Process(side int, t *Tuple, emit Emit) error {
-	o.curEmit, o.curT = emit, t
-	err := o.processOne(side, t.Row, t.Ts, t.Offset, o.emitSink)
-	o.curEmit, o.curT = nil, nil
-	return err
-}
-
-// processOne is the row-level join step shared by the scalar and block
-// paths: store the tuple on its own side, probe the opposite side's window,
-// hand every match (a freshly combined row the sink may retain) to sink,
-// then purge. State access stays range-based per tuple — write-once windowed
-// side state cannot use the point cache or the batched point reads.
+// processOne is the row-level join step: store the tuple on its own side,
+// probe the opposite side's window, hand every match (a freshly combined
+// row the sink may retain) to sink, then purge. State access stays
+// range-based per tuple — write-once windowed side state cannot use the
+// point cache or the batched point reads.
 func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, sink func(full []any) error) error {
 	if side != LeftSide && side != RightSide {
 		return fmt.Errorf("operators: bad join side %d", side)

@@ -46,13 +46,9 @@ type sourceKeys struct {
 	cache map[kafka.TopicPartition]string
 }
 
-func (s *sourceKeys) key(t *Tuple) string {
-	return s.keyFor(t.Stream, t.Partition)
-}
-
-// keyFor is the block-path variant: a polled block carries one
+// keyFor returns the source key of a block: a polled block carries one
 // (stream, partition) for all its rows, so the key is computed once per
-// block instead of per tuple.
+// block.
 func (s *sourceKeys) keyFor(stream string, partition int32) string {
 	if s.cache == nil {
 		s.cache = map[kafka.TopicPartition]string{}

@@ -25,15 +25,52 @@ func testCtx() *OpContext {
 	}
 }
 
-func collect(out *[]*Tuple) Emit {
-	return func(t *Tuple) error {
-		*out = append(*out, t)
+// outRow is one selected row of an emitted block, copied out.
+type outRow struct {
+	Row []any
+	Ts  int64
+}
+
+// collect returns a block emit that copies every selected row into out.
+func collect(out *[]outRow) BlockEmit {
+	return func(b *TupleBlock) error {
+		for _, r := range b.Sel {
+			row := make([]any, len(b.Cols))
+			for c := range b.Cols {
+				row[c] = b.Cols[c][r]
+			}
+			*out = append(*out, outRow{Row: row, Ts: b.Ts[r]})
+		}
 		return nil
 	}
 }
 
-func tup(offset int64, ts int64, row ...any) *Tuple {
-	return &Tuple{Row: row, Ts: ts, Stream: "in", Partition: 0, Offset: offset}
+// inRow is one input row with its source offset and event time.
+type inRow struct {
+	offset, ts int64
+	row        []any
+}
+
+func tup(offset int64, ts int64, row ...any) inRow {
+	return inRow{offset: offset, ts: ts, row: row}
+}
+
+// process wraps the rows into one block from stream "in", partition 0, and
+// runs it through op.
+func process(op Operator, emit BlockEmit, rows ...inRow) error {
+	b := &TupleBlock{}
+	b.Reset("in", 0, len(rows))
+	b.sizeCols(len(rows[0].row), len(rows))
+	for r, in := range rows {
+		for c, v := range in.row {
+			b.Cols[c][r] = v
+		}
+		b.Ts = append(b.Ts, in.ts)
+		b.Keys = append(b.Keys, nil)
+		b.Offsets = append(b.Offsets, in.offset)
+	}
+	b.SelAll()
+	return op.ProcessBlock(0, b, emit)
 }
 
 func TestFilterOp(t *testing.T) {
@@ -45,10 +82,10 @@ func TestFilterOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	for i, u := range []int64{5, 15, 10, 25} {
-		if err := op.Process(0, tup(int64(i), 0, u), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), 0, u)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,8 +104,8 @@ func TestProjectOpRefreshesTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
-	if err := op.Process(0, tup(0, 500, int64(500)), collect(&out)); err != nil {
+	var out []outRow
+	if err := process(op, collect(&out), tup(0, 500, int64(500))); err != nil {
 		t.Fatal(err)
 	}
 	if out[0].Ts != 1500 {
@@ -104,16 +141,16 @@ func TestUnwindowedAggregateEarlyResults(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	// Rows: (ts, units, pid)
-	inputs := []*Tuple{
+	inputs := []inRow{
 		tup(0, 1, int64(1), int64(10), int64(7)),
 		tup(1, 2, int64(2), int64(5), int64(7)),
 		tup(2, 3, int64(3), int64(1), int64(8)),
 	}
 	for _, in := range inputs {
-		if err := op.Process(0, in, emit); err != nil {
+		if err := process(op, emit, in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,18 +179,18 @@ func TestWindowedAggregateEmitsOnWatermark(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	// Three tuples in window (0,1000]; then one at 2500 closing it.
 	for i, ts := range []int64{100, 400, 900} {
-		if err := op.Process(0, tup(int64(i), ts, ts), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), ts, ts)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(out) != 0 {
 		t.Fatalf("window emitted before close: %v", out)
 	}
-	if err := op.Process(0, tup(3, 2500, int64(2500)), emit); err != nil {
+	if err := process(op, emit, tup(3, 2500, int64(2500))); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
@@ -179,19 +216,19 @@ func TestWindowedAggregateDropsLateTuples(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
-	if err := op.Process(0, tup(0, 500, int64(500)), emit); err != nil {
+	if err := process(op, emit, tup(0, 500, int64(500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Process(0, tup(1, 2500, int64(2500)), emit); err != nil {
+	if err := process(op, emit, tup(1, 2500, int64(2500))); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Row[0].(int64) != 1 {
 		t.Fatalf("first window: %v", out)
 	}
 	// Late arrival for the already-closed first window: discarded (§3).
-	if err := op.Process(0, tup(2, 600, int64(600)), emit); err != nil {
+	if err := process(op, emit, tup(2, 600, int64(600))); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
@@ -208,14 +245,14 @@ func TestAggregateReplayIsExactlyOnce(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	in := tup(5, 1, int64(1), int64(10), int64(7))
-	if err := op.Process(0, in, emit); err != nil {
+	if err := process(op, emit, in); err != nil {
 		t.Fatal(err)
 	}
 	// Re-delivery of the same offset must not change state or emit.
-	if err := op.Process(0, in, emit); err != nil {
+	if err := process(op, emit, in); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
@@ -252,7 +289,7 @@ func TestSlidingWindowRangeSum(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	// Partition 7: ts/unit pairs.
 	inputs := []struct{ ts, units int64 }{
@@ -260,7 +297,7 @@ func TestSlidingWindowRangeSum(t *testing.T) {
 	}
 	want := []int64{10, 30, 35, 12, 1} // sums over [ts-1000, ts]
 	for i, in := range inputs {
-		if err := op.Process(0, tup(int64(i), in.ts, in.ts, in.units, int64(7)), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), in.ts, in.ts, in.units, int64(7))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,15 +320,15 @@ func TestSlidingWindowPartitionsIsolated(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
-	if err := op.Process(0, tup(0, 100, int64(100), int64(10), int64(1)), emit); err != nil {
+	if err := process(op, emit, tup(0, 100, int64(100), int64(10), int64(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Process(0, tup(1, 200, int64(200), int64(99), int64(2)), emit); err != nil {
+	if err := process(op, emit, tup(1, 200, int64(200), int64(99), int64(2))); err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Process(0, tup(2, 300, int64(300), int64(5), int64(1)), emit); err != nil {
+	if err := process(op, emit, tup(2, 300, int64(300), int64(5), int64(1))); err != nil {
 		t.Fatal(err)
 	}
 	if out[2].Row[3].(int64) != 15 {
@@ -307,12 +344,12 @@ func TestSlidingWindowRowsFrame(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	units := []int64{1, 2, 4, 8, 16}
 	want := []int64{1, 3, 7, 14, 28} // current + 2 preceding
 	for i, u := range units {
-		if err := op.Process(0, tup(int64(i), int64(i*100), int64(i*100), u, int64(7)), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), int64(i*100), int64(i*100), u, int64(7))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,14 +368,14 @@ func TestSlidingWindowMinMaxRebuild(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	inputs := []struct{ ts, units int64 }{
 		{100, 50}, {500, 20}, {1400, 7}, // the 50 expires before ts=1400
 	}
 	want := []int64{50, 50, 20}
 	for i, in := range inputs {
-		if err := op.Process(0, tup(int64(i), in.ts, in.ts, in.units, int64(7)), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), in.ts, in.ts, in.units, int64(7))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,10 +394,10 @@ func TestSlidingWindowUnbounded(t *testing.T) {
 	if err := op.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
 	for i := 0; i < 5; i++ {
-		if err := op.Process(0, tup(int64(i), int64(i), int64(i), int64(1), int64(7)), emit); err != nil {
+		if err := process(op, emit, tup(int64(i), int64(i), int64(i), int64(1), int64(7))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,12 +418,12 @@ func TestSlidingWindowStateSurvivesRestore(t *testing.T) {
 	if err := op1.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var out []*Tuple
+	var out []outRow
 	emit := collect(&out)
-	if err := op1.Process(0, tup(0, 100, int64(100), int64(10), int64(7)), emit); err != nil {
+	if err := process(op1, emit, tup(0, 100, int64(100), int64(10), int64(7))); err != nil {
 		t.Fatal(err)
 	}
-	if err := op1.Process(0, tup(1, 200, int64(200), int64(20), int64(7)), emit); err != nil {
+	if err := process(op1, emit, tup(1, 200, int64(200), int64(20), int64(7))); err != nil {
 		t.Fatal(err)
 	}
 	// "Crash", restart with restored store; offset 1 replays, then 2 new.
@@ -397,10 +434,10 @@ func TestSlidingWindowStateSurvivesRestore(t *testing.T) {
 	if err := op2.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := op2.Process(0, tup(1, 200, int64(200), int64(20), int64(7)), emit); err != nil {
+	if err := process(op2, emit, tup(1, 200, int64(200), int64(20), int64(7))); err != nil {
 		t.Fatal(err)
 	}
-	if err := op2.Process(0, tup(2, 300, int64(300), int64(5), int64(7)), emit); err != nil {
+	if err := process(op2, emit, tup(2, 300, int64(300), int64(5), int64(7))); err != nil {
 		t.Fatal(err)
 	}
 	// Replayed offset 1 emits nothing; final sum = 10+20+5.

@@ -16,8 +16,8 @@ const SlidingStoreName = "samzasql-window"
 // SlidingWindowOp implements Algorithm 1 (§4.3): on each tuple it saves the
 // message into local storage, initializes/advances the window bounds, purges
 // expired messages while adjusting aggregate values, folds in the current
-// tuple, persists the window state, and emits the input row extended with
-// the latest aggregate values downstream.
+// tuple, and emits the input row extended with the latest aggregate values
+// downstream; the window state persists once per key per block.
 //
 // All state lives in the task's key-value store so Samza's changelog
 // snapshot/restore makes the operator fault-tolerant, and per-stream offset
@@ -68,7 +68,7 @@ type SlidingWindowOp struct {
 // windowState is one window partition's decoded state: the live accumulator,
 // the retained-contribution count, and the per-source applied-offset vector
 // that makes re-delivered messages no-ops. Its encoded form is the
-// [accSnapshot, count, offsetVector] row loadCallState reads.
+// [accSnapshot, count, offsetVector] row decodeCallState reads.
 type windowState struct {
 	acc     Accumulator
 	count   int64
@@ -186,100 +186,10 @@ func (o *SlidingWindowOp) encodeState(obj any) ([]byte, error) {
 	return o.obj.Encode([]any{ws.acc.Snapshot(), ws.count, []any(ws.offsets)})
 }
 
-// Process implements Operator (Algorithm 1). Re-delivered messages are
-// detected via the last-applied offset carried in each window state row and
-// produce no state change and no output (exactly-once, §4.3).
-//
-//samzasql:hotpath
-func (o *SlidingWindowOp) Process(_ int, t *Tuple, emit Emit) error {
-	out := append([]any(nil), t.Row...)
-	replay := false
-	for i, call := range o.calls {
-		v, seen, err := o.processCall(call, t)
-		if err != nil {
-			return err
-		}
-		if i == 0 && seen {
-			replay = true
-		}
-		out = append(out, v)
-	}
-	if replay {
-		return nil
-	}
-	return emit(&Tuple{
-		Row: out, Ts: t.Ts, Key: t.Key,
-		Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-	})
-}
-
-//samzasql:hotpath
-func (o *SlidingWindowOp) processCall(c *analyticState, t *Tuple) (any, bool, error) {
-	// Partition key for window state.
-	if c.partVals == nil {
-		c.partVals = make([]any, len(c.partEvals))
-	}
-	for i, ev := range c.partEvals {
-		v, err := ev(t.Row)
-		if err != nil {
-			return nil, false, err
-		}
-		c.partVals[i] = v
-	}
-	pk, err := c.groupKey(o.obj)
-	if err != nil {
-		return nil, false, err
-	}
-	// Window ordering value (the tuple timestamp; §3.8 assumes it
-	// monotonically increases per partition).
-	ov, err := c.orderEval(t.Row)
-	if err != nil {
-		return nil, false, err
-	}
-	ts, ok := ov.(int64)
-	if !ok {
-		return nil, false, fmt.Errorf("operators: ORDER BY value is %T", ov)
-	}
-	// The aggregate input value (a non-nil marker for COUNT(*)).
-	var arg any = int64(1)
-	if c.argEval != nil {
-		arg, err = c.argEval(t.Row)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-
-	// 1. Load window state (aggregate values, bounds, applied offsets) —
-	// from the object cache when resident, decoding from bytes otherwise.
-	o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pk)
-	sk := o.sbuf
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	ws, err := o.loadCallState(c, sk)
-	if err != nil {
-		return nil, false, err
-	}
-	// Replayed message: state already reflects it; report current value.
-	src := o.sources.key(t)
-	if ws.offsets.seen(src, t.Offset) {
-		return ws.acc.Value(), true, nil
-	}
-	if err := o.foldTuple(c, ws, pk, ts, arg, t.Offset); err != nil {
-		return nil, false, err
-	}
-	// 6. Persist state.
-	ws.offsets = ws.offsets.update(src, t.Offset)
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	if err := o.saveCallState(sk, ws); err != nil {
-		return nil, false, err
-	}
-	return ws.acc.Value(), false, nil
-}
-
 // foldTuple applies one tuple's contribution to a loaded window state:
 // Algorithm 1 steps 2–5 (save contribution, purge expired, fold, rebuild
 // non-invertible aggregates). Replay detection and state persistence stay
-// with the caller — the scalar path saves per tuple, the block path once
-// per key per block.
+// with the caller, which saves once per key per block.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte, ts int64, arg any, offset int64) error {
@@ -443,30 +353,8 @@ func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 	return append(buf, pk...)
 }
 
-// loadCallState returns the window state stored under state key sk. On a
-// cache hit the decoded windowState comes back as-is — no Get, no Decode.
-// Otherwise the state row [accumulatorSnapshot, count, offsetVector] is read
-// and decoded, and the decoded form is memoized for subsequent tuples.
-func (o *SlidingWindowOp) loadCallState(c *analyticState, sk []byte) (*windowState, error) {
-	if o.cache != nil {
-		if obj, ok := o.cache.GetObject(sk); ok {
-			return obj.(*windowState), nil
-		}
-	}
-	v, ok := o.store.Get(sk)
-	ws, err := o.decodeCallState(c, v, ok)
-	if err != nil {
-		return nil, err
-	}
-	if o.cache != nil {
-		o.cache.CacheObject(sk, ws)
-	}
-	return ws, nil
-}
-
 // decodeCallState builds a windowState from stored bytes; ok=false yields a
-// fresh empty state. Shared by the scalar load path and the block path's
-// batched miss fill.
+// fresh empty state.
 func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (*windowState, error) {
 	ws := &windowState{acc: c.newAcc()}
 	if ok {
@@ -494,7 +382,7 @@ func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (
 
 // saveCallState persists the window state under sk. With the cache the
 // object is stored as-is and encoding defers to flush/eviction; without it
-// the row is encoded and written per tuple, the paper-faithful baseline.
+// the row is encoded and written on every save, the paper-faithful baseline.
 func (o *SlidingWindowOp) saveCallState(sk []byte, ws *windowState) error {
 	if o.cache != nil {
 		o.cache.PutObject(sk, ws, o.encState)

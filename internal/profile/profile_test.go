@@ -287,6 +287,9 @@ func TestCaptureHeapDeltaAndGoroutines(t *testing.T) {
 		sink = append(sink, make([]byte, 1024))
 	}
 	runtime.KeepAlive(sink)
+	// The allocs profile is published when a GC cycle completes; force one
+	// so the allocation above is in the second capture.
+	runtime.GC()
 	delta, err := p.CaptureHeapDelta()
 	if err != nil {
 		t.Fatal(err)

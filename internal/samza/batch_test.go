@@ -140,18 +140,57 @@ func TestBatchedTaskReceivesBlocks(t *testing.T) {
 	}
 }
 
-// TestScalarBatchForcesPerMessageDelivery pins the equivalence-reference
-// escape hatch: BatchSize = ScalarBatch delivers through Process one
-// message at a time even when the task implements BatchedStreamTask.
-func TestScalarBatchForcesPerMessageDelivery(t *testing.T) {
-	const n = 50
-	batches, scalar := runBatchJob(t, ScalarBatch, n)
-	if len(batches) != 0 {
-		t.Fatalf("ProcessBatch ran %d times with BatchSize=ScalarBatch", len(batches))
+// TestBootstrapDeliversBatches checks that a batched task's bootstrap
+// input arrives through ProcessBatch too, one call per bootstrap fetch of up
+// to 512 messages, in offset order and before any stream input.
+func TestBootstrapDeliversBatches(t *testing.T) {
+	const rel, str = 700, 30
+	b, r := testEnv()
+	for _, topic := range []string{"relation", "stream", "out"} {
+		if err := b.CreateTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if scalar != n {
-		t.Fatalf("scalar Process ran %d times, want %d", scalar, n)
+	produceN(t, b, "relation", 0, rel, "rel")
+	produceN(t, b, "stream", 0, str, "str")
+	var mu sync.Mutex
+	var batches [][]int64
+	var scalar atomic.Int64
+	job := &JobSpec{
+		Name:   "bootstrap-batches",
+		Inputs: []StreamSpec{{Topic: "stream"}, {Topic: "relation", Bootstrap: true}},
+		TaskFactory: func() StreamTask {
+			return &batchRecordingTask{mu: &mu, batches: &batches, scalar: &scalar, out: "out"}
+		},
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rj, err := r.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return len(drainTopic(t, b, "out")) == rel+str
+	}, fmt.Sprintf("%d output messages", rel+str))
+	rj.Stop()
+	if scalar.Load() != 0 {
+		t.Fatalf("scalar Process ran %d times for a batched task", scalar.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) < 2 || len(batches[0]) != 512 || len(batches[1]) != rel-512 {
+		t.Fatalf("bootstrap batches of %d messages, want 512 then %d", batchLens(batches), rel-512)
+	}
+	flattenBatches(t, batches[:2], rel)
+	flattenBatches(t, batches[2:], str)
+}
+
+func batchLens(batches [][]int64) []int {
+	out := make([]int, len(batches))
+	for i, b := range batches {
+		out[i] = len(b)
+	}
+	return out
 }
 
 // TestBatchSizeOneDeliversSingleRowBlocks checks the boundary granularity:

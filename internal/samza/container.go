@@ -114,9 +114,8 @@ type taskInstance struct {
 	name      TaskName
 	partition int32
 	task      StreamTask
-	// batched is the task's vectorized path, cached at build time: non-nil
-	// only when the task implements BatchedStreamTask and the job has not
-	// forced scalar delivery (BatchSize == ScalarBatch).
+	// batched is the task's block path, cached at build time: non-nil when
+	// the task implements BatchedStreamTask.
 	batched BatchedStreamTask
 	// pollMax caps messages per poll (JobSpec.BatchSize resolved).
 	pollMax int
@@ -320,9 +319,7 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		winLat:     c.Metrics.Timer("task." + string(name) + ".window-ns"),
 		commitLat:  c.Metrics.Timer("task." + string(name) + ".commit-ns"),
 	}
-	if c.job.BatchSize != ScalarBatch {
-		ti.batched, _ = task.(BatchedStreamTask)
-	}
+	ti.batched, _ = task.(BatchedStreamTask)
 	return ti, nil
 }
 
@@ -549,8 +546,13 @@ func (c *Container) runTask(ctx context.Context, ti *taskInstance) error {
 }
 
 // bootstrap consumes each bootstrap stream partition from the consumer's
-// current position to the high watermark observed at start.
+// current position to the high watermark observed at start. A batched task
+// gets each fetch (up to 512 messages) in one ProcessBatch call; a plain
+// StreamTask gets one Process call per message.
 func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
+	// envs is the bootstrap's own envelope arena, dropped when it returns:
+	// the task's poll arena stays sized to the poll cap.
+	var envs []IncomingMessageEnvelope
 	for _, in := range c.job.Inputs {
 		if !in.Bootstrap {
 			continue
@@ -569,20 +571,21 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			if wait != nil {
 				break
 			}
-			env := IncomingMessageEnvelope{}
+			envs = envs[:0]
 			for _, m := range msgs {
 				if m.Offset >= hwm {
 					break
 				}
-				env = IncomingMessageEnvelope{
+				envs = append(envs, IncomingMessageEnvelope{
 					Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
 					Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-				}
-				ti.coord.reset()
-				if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
-					return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
-				}
-				pos = m.Offset + 1
+				})
+			}
+			if err := c.bootstrapDeliver(ti, envs); err != nil {
+				return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
+			}
+			if len(envs) > 0 {
+				pos = envs[len(envs)-1].Offset + 1
 			}
 			if ctx.Err() != nil {
 				return nil
@@ -594,19 +597,32 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 	return nil
 }
 
+// bootstrapDeliver hands one bootstrap fetch to the task.
+func (c *Container) bootstrapDeliver(ti *taskInstance, envs []IncomingMessageEnvelope) error {
+	if len(envs) == 0 {
+		return nil
+	}
+	if ti.batched != nil {
+		ti.coord.reset()
+		return ti.batched.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano())
+	}
+	for _, env := range envs {
+		ti.coord.reset()
+		if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // idleWait bounds how long a task with no assignment sleeps between polls;
 // assigned tasks block on the consumer's notifier instead.
 const idleWait = 10 * time.Millisecond
 
 // DefaultBatchSize is the per-poll message cap when JobSpec.BatchSize is
-// unset: the delivery unit of the vectorized block path and the fetch
-// granularity of the scalar path alike.
+// unset: the block size of batched tasks and the fetch granularity of plain
+// StreamTasks alike.
 const DefaultBatchSize = 256
-
-// ScalarBatch, as JobSpec.BatchSize, forces per-message delivery even for
-// tasks implementing BatchedStreamTask — the reference path batch-vs-scalar
-// equivalence tests compare against.
-const ScalarBatch = -1
 
 // pollTask delivers one batch to the task. Returns stop=true when the task
 // requested shutdown.

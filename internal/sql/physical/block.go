@@ -3,39 +3,23 @@ package physical
 import (
 	"time"
 
-	"samzasql/internal/operators"
 	"samzasql/internal/samza"
 	"samzasql/internal/trace"
 )
 
-// This file is the vectorized side of the program: per-topic block
-// pipelines compiled next to the per-tuple router by threading a BlockEmit
-// through build. RouteBatch drives one polled batch (always from a single
-// topic-partition) through its topic's pipeline — decode once per block,
-// each operator's ProcessBlock once per block, the outputs flushed in one
-// batched send. Stateful stages (aggregate, sliding window, joins) cluster
-// each block by key and batch their state reads (block_stateful.go), so
-// every compiled plan's topics run vectorized; the per-tuple fallback only
-// covers topics without a compiled entry (the fused fast path handles its
-// own batches).
+// This file is how a compiled program runs: RouteBatch drives one polled
+// batch (always from a single topic-partition) through its topic's block
+// chain — the scan decodes the block once, each operator's ProcessBlock
+// runs once per block, and the insert flushes the outputs in one batched
+// send. Stateful stages (aggregate, sliding window, joins) cluster each
+// block by key and batch their state reads (operators/block_stateful.go).
+// The fused fast path handles its own batches.
 
-// blockInput is one source topic's vectorized pipeline: the scan that
-// decodes its blocks and the compiled per-block chain above it.
-type blockInput struct {
-	scan  *operators.ScanOp
-	entry operators.BlockEmit
-}
-
-// Vectorized reports whether the program compiled a per-block pipeline
-// (fused kernel or block pipelines); plans without one process batches
-// through the per-tuple router.
-func (p *Program) Vectorized() bool { return p.fast != nil || len(p.blockInputs) > 0 }
-
-// RouteBatch drives one polled batch through the program — the vectorized
-// counterpart of RouteMessage. The envelopes come from a single
-// topic-partition in offset order (the consumer's poll contract). act may
-// be nil (bounded execution, tests); sampled messages inside the batch get
-// their spans replayed at batch granularity with row counts.
+// RouteBatch drives one polled batch through the program. The envelopes
+// come from a single topic-partition in offset order (the consumer's poll
+// contract); a topic the plan does not consume is ignored. act may be nil
+// (bounded execution, tests); sampled messages inside the batch get their
+// spans replayed at batch granularity with row counts.
 //
 //samzasql:hotpath
 func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs int64) error {
@@ -49,23 +33,9 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		}
 		return p.fast.handleBlock(envs, act, pollNs)
 	}
-	bi := p.blockInputs[topic]
-	if bi == nil {
-		// Per-tuple fallback: route each message with the trace brackets
-		// the scalar container loop would have applied.
-		for i := range envs {
-			env := &envs[i]
-			if env.Trace.Sampled {
-				act.StartMessage(env.Trace, pollNs, time.Now().UnixNano())
-			}
-			if err := p.RouteMessage(env.Stream, env.Value, env.Key, env.Timestamp, env.Partition, env.Offset); err != nil {
-				return err
-			}
-			if env.Trace.Sampled {
-				act.FinishMessage(time.Now().UnixNano())
-			}
-		}
-		return nil
+	entry := p.entries[topic]
+	if entry == nil {
+		return nil // not an input of this query
 	}
 	b := &p.blockArena
 	b.Reset(topic, envs[0].Partition, len(envs))
@@ -86,10 +56,7 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		b.Trace = &p.btrace
 		startNs = time.Now().UnixNano()
 	}
-	if err := bi.scan.DecodeBlock(b); err != nil {
-		return err
-	}
-	if err := bi.entry(b); err != nil {
+	if err := entry(b); err != nil {
 		return err
 	}
 	if sampled > 0 {

@@ -102,10 +102,10 @@ func (b *fastBinder) Open(ctx *operators.OpContext) error {
 	return nil
 }
 
-// Process implements operators.Operator; the fused path never routes tuples
-// through it.
-func (b *fastBinder) Process(_ int, t *operators.Tuple, emit operators.Emit) error {
-	return emit(t)
+// ProcessBlock implements operators.Operator; the fused path never routes
+// blocks through it.
+func (b *fastBinder) ProcessBlock(_ int, blk *operators.TupleBlock, emit operators.BlockEmit) error {
+	return emit(blk)
 }
 
 // tryFastPath recognizes Project(Filter?(Scan)) shapes and compiles the

@@ -1,7 +1,7 @@
 // Package physical lowers a logical plan to a SamzaSQL program: the scan /
-// operator / insert chain (Figure 4), the message router wiring, the input
-// stream set with bootstrap flags, and the store declarations the Samza job
-// needs. It is the second half of the paper's two-step planning (§4.2):
+// operator / insert chain (Figure 4) compiled as one block chain per input
+// topic, the input stream set with bootstrap flags, and the store
+// declarations the Samza job needs. It is the second half of the paper's two-step planning (§4.2):
 // the same compilation runs in the shell (to derive the job configuration)
 // and inside each SamzaSQL task at initialization (to build operators).
 package physical
@@ -51,9 +51,9 @@ type Program struct {
 	insert *operators.InsertOp
 	// aggregate is non-nil when the plan aggregates; the bounded executor
 	// uses FlushAggregate at end of input. aggDownstream is the compiled
-	// chain above the aggregate (having filter, projection, insert).
+	// block chain above the aggregate (having filter, projection, insert).
 	aggregate     *operators.StreamAggregateOp
-	aggDownstream operators.Emit
+	aggDownstream operators.BlockEmit
 	// fast is non-nil when the plan compiled to the fused fast path (§7's
 	// proposed SamzaSQL-specific code generation; see fastpath.go).
 	fast *fastProgram
@@ -61,18 +61,16 @@ type Program struct {
 	// instrumented stage gets a unique metric name.
 	stageSeq map[string]int
 
-	// Vectorized block pipelines (see block.go): one entry per input topic,
-	// compiled alongside the scalar router by threading a BlockEmit through
-	// build. Every operator kind has a block path — filter/project refine or
-	// compact selections, the stateful stages (aggregate, sliding window,
-	// joins) cluster each block by key and batch their state reads — so
-	// every topic a plan consumes gets an entry and RouteBatch never falls
-	// back to per-tuple routing for compiled plans.
-	blockInputs map[string]*blockInput
+	// entries maps each input topic to its compiled block chain, scan
+	// first (see block.go): build threads a BlockEmit from the insert down
+	// to every scan, so every topic a plan consumes gets one.
+	entries map[string]operators.BlockEmit
 	// blockArena and btrace are the task-owned reusable block and stage-span
-	// log RouteBatch drives the chain with.
+	// log RouteBatch drives the chain with; oneEnv is the reused envelope
+	// RouteMessage wraps a single message in.
 	blockArena operators.TupleBlock
 	btrace     operators.BlockTrace
+	oneEnv     [1]samza.IncomingMessageEnvelope
 }
 
 // instrument wraps op for per-operator latency/output metrics and registers
@@ -97,8 +95,8 @@ func (p *Program) instrument(kind string, op operators.Operator) *operators.Inst
 // FastPath reports whether the program uses the fused fast path.
 func (p *Program) FastPath() bool { return p.fast != nil }
 
-// FlushAggregate closes all open windows through the post-aggregate chain.
-// No-op for plans without aggregation.
+// FlushAggregate closes all open windows, passing them as one block through
+// the post-aggregate chain. No-op for plans without aggregation.
 func (p *Program) FlushAggregate() error {
 	if p.aggregate == nil {
 		return nil
@@ -116,7 +114,7 @@ func (p *Program) SetSender(s operators.Sender) {
 }
 
 // SetBatchSender binds the output sink's batched path. Nil unbinds it; the
-// block path then falls back to per-row sends through the scalar sender.
+// insert then sends each row through the sender SetSender bound.
 func (p *Program) SetBatchSender(bs operators.BatchSender) {
 	if p.fast != nil {
 		p.fast.sendBatch = bs
@@ -173,19 +171,9 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	prog.OutputCodec = outCodec
 	prog.insert = &operators.InsertOp{Codec: outCodec, Target: target}
 	insInst := prog.instrument("insert", prog.insert)
-	// The insert op invokes emit per sent message, so the counting emit
-	// built here gives "operator.insert.out" = messages actually produced.
-	insEmit := insInst.WrapEmit(func(*operators.Tuple) error { return nil })
-	sink := func(t *operators.Tuple) error {
-		return insInst.Process(0, t, insEmit)
-	}
-	// The block pipeline compiles next to the scalar chain: the same
-	// instrumented sink, fed whole blocks.
-	insBlockEmit := insInst.WrapBlockEmit(func(*operators.TupleBlock) error { return nil })
-	blockSink := func(b *operators.TupleBlock) error {
-		return insInst.ProcessBlock(0, b, insBlockEmit)
-	}
-	if err := prog.build(body, sink, blockSink); err != nil {
+	// The insert emits each block it sent, so the counting emit built here
+	// gives "operator.insert.out" = messages actually produced.
+	if err := prog.build(body, stage(insInst, 0, func(*operators.TupleBlock) error { return nil })); err != nil {
 		return nil, err
 	}
 	// Aggregate outputs partition by group key (tuples carry it); other
@@ -196,37 +184,27 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	return prog, nil
 }
 
-// blockStage wraps one instrumented operator as a block pipeline stage
-// feeding blockDown on the given input side. A nil blockDown (no vectorized
-// path downstream) propagates, leaving the subtree's scans on the per-tuple
-// router.
-func (p *Program) blockStage(inst *operators.Instrumented, side int, blockDown operators.BlockEmit) operators.BlockEmit {
-	if blockDown == nil {
-		return nil
-	}
-	emitTo := inst.WrapBlockEmit(blockDown)
+// stage wraps one instrumented operator as a block chain stage feeding
+// down on the given input side.
+func stage(inst *operators.Instrumented, side int, down operators.BlockEmit) operators.BlockEmit {
+	emitTo := inst.WrapBlockEmit(down)
 	return func(b *operators.TupleBlock) error {
 		return inst.ProcessBlock(side, b, emitTo)
 	}
 }
 
-// build wires the plan node's operator and recurses to its inputs.
-// downstream receives the node's output tuples; blockDown receives its
-// output blocks on the vectorized pipeline compiled alongside.
-func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operators.BlockEmit) error {
+// build wires the plan node's operator and recurses to its inputs. down
+// receives the node's output blocks.
+func (p *Program) build(n plan.Node, down operators.BlockEmit) error {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return p.buildScan(t, downstream, blockDown)
+		return p.buildScan(t, down)
 	case *plan.Filter:
 		op, err := operators.NewFilterOp(t.Cond)
 		if err != nil {
 			return err
 		}
-		inst := p.instrument("filter", op)
-		emitTo := inst.WrapEmit(downstream)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, stage(p.instrument("filter", op), 0, down))
 	case *plan.Project:
 		tsIdx := -1
 		for i, c := range t.Row().Columns {
@@ -240,8 +218,8 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 			return err
 		}
 		// SELECT *: every expression is its own input column, in order. The
-		// block path then passes rows through (raw encodings included),
-		// letting the insert raw-forward filter-only chains.
+		// block then passes through (raw encodings included), letting the
+		// insert raw-forward filter-only chains.
 		if identity := t.Exprs != nil && len(t.Exprs) == t.Input.Row().Arity(); identity {
 			for i, e := range t.Exprs {
 				c, ok := e.(*expr.ColRef)
@@ -252,39 +230,28 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 			}
 			op.Identity = identity
 		}
-		inst := p.instrument("project", op)
-		emitTo := inst.WrapEmit(downstream)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, stage(p.instrument("project", op), 0, down))
 	case *plan.Aggregate:
 		op, err := operators.NewStreamAggregateOp(t.Keys, t.Window, t.Aggs)
 		if err != nil {
 			return err
 		}
 		inst := p.instrument("aggregate", op)
-		emitTo := inst.WrapEmit(downstream)
 		p.aggregate = op
 		// Flushes go through the counting emit too, so final-window rows
 		// show up in "operator.aggregate.out".
-		p.aggDownstream = emitTo
+		p.aggDownstream = inst.WrapBlockEmit(down)
 		p.addStore(operators.AggStoreName)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, stage(inst, 0, down))
 	case *plan.Analytic:
 		op, err := operators.NewSlidingWindowOp(t.Calls)
 		if err != nil {
 			return err
 		}
-		inst := p.instrument("sliding-window", op)
-		emitTo := inst.WrapEmit(downstream)
 		p.addStore(operators.SlidingStoreName)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, stage(p.instrument("sliding-window", op), 0, down))
 	case *plan.Join:
-		return p.buildJoin(t, downstream, blockDown)
+		return p.buildJoin(t, down)
 	case *plan.Insert:
 		return fmt.Errorf("physical: nested INSERT is not supported")
 	default:
@@ -292,7 +259,7 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 	}
 }
 
-func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown operators.BlockEmit) error {
+func (p *Program) buildScan(s *plan.Scan, down operators.BlockEmit) error {
 	codec, err := catalog.AvroSchemaFor(s.Object)
 	if err != nil {
 		return err
@@ -330,19 +297,16 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown o
 	if s.Streaming {
 		p.Streaming = true
 	}
-	p.Router.AddEntry(topic, func(t *operators.Tuple) error {
-		return downstream(t)
-	})
-	if blockDown != nil {
-		if p.blockInputs == nil {
-			p.blockInputs = map[string]*blockInput{}
-		}
-		p.blockInputs[topic] = &blockInput{scan: scan, entry: blockDown}
+	if p.entries == nil {
+		p.entries = map[string]operators.BlockEmit{}
+	}
+	p.entries[topic] = func(b *operators.TupleBlock) error {
+		return scan.ProcessBlock(0, b, down)
 	}
 	return nil
 }
 
-func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown operators.BlockEmit) error {
+func (p *Program) buildJoin(j *plan.Join, down operators.BlockEmit) error {
 	leftArity := j.Left.Row().Arity()
 	rightArity := j.Right.Row().Arity()
 
@@ -360,41 +324,29 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 			return err
 		}
 		inst := p.instrument("stream-relation-join", op)
-		emitTo := inst.WrapEmit(downstream)
 		// Stream side feeds LeftSide, relation changelog feeds RightSide.
-		streamEmit := func(t *operators.Tuple) error {
-			return inst.Process(operators.LeftSide, t, emitTo)
-		}
-		relEmit := func(t *operators.Tuple) error {
-			return inst.Process(operators.RightSide, t, emitTo)
-		}
-		streamBlock := p.blockStage(inst, operators.LeftSide, blockDown)
-		relBlock := p.blockStage(inst, operators.RightSide, blockDown)
+		streamIn := stage(inst, operators.LeftSide, down)
+		relIn := stage(inst, operators.RightSide, down)
 		if streamIsLeft {
-			if err := p.build(j.Left, streamEmit, streamBlock); err != nil {
+			if err := p.build(j.Left, streamIn); err != nil {
 				return err
 			}
-			return p.build(j.Right, relEmit, relBlock)
+			return p.build(j.Right, relIn)
 		}
-		if err := p.build(j.Left, relEmit, relBlock); err != nil {
+		if err := p.build(j.Left, relIn); err != nil {
 			return err
 		}
-		return p.build(j.Right, streamEmit, streamBlock)
+		return p.build(j.Right, streamIn)
 	default:
 		op, err := operators.NewStreamStreamJoinOp(j.Info, leftArity, rightArity)
 		if err != nil {
 			return err
 		}
 		inst := p.instrument("stream-stream-join", op)
-		emitTo := inst.WrapEmit(downstream)
-		if err := p.build(j.Left, func(t *operators.Tuple) error {
-			return inst.Process(operators.LeftSide, t, emitTo)
-		}, p.blockStage(inst, operators.LeftSide, blockDown)); err != nil {
+		if err := p.build(j.Left, stage(inst, operators.LeftSide, down)); err != nil {
 			return err
 		}
-		return p.build(j.Right, func(t *operators.Tuple) error {
-			return inst.Process(operators.RightSide, t, emitTo)
-		}, p.blockStage(inst, operators.RightSide, blockDown))
+		return p.build(j.Right, stage(inst, operators.RightSide, down))
 	}
 }
 
@@ -447,8 +399,10 @@ func codecFor(name string, row *types.RowType, nullable bool) (*avro.Codec, erro
 	return avro.NewCodec(avro.Record(name, fields...))
 }
 
-// RouteMessage decodes one raw message from topic and drives it through the
-// router — the per-message path of a SamzaSQL task.
+// RouteMessage drives one raw message from topic through the program: the
+// fused fast path takes it directly, every other plan runs it as a one-row
+// block through RouteBatch. Callers that have messages one at a time
+// (relation bootstrap outside a container, tests) use it.
 func (p *Program) RouteMessage(topic string, value, key []byte, msgTs int64, partition int32, offset int64) error {
 	if p.fast != nil {
 		if topic != p.fast.topic {
@@ -456,15 +410,9 @@ func (p *Program) RouteMessage(topic string, value, key []byte, msgTs int64, par
 		}
 		return p.fast.handle(value, key, msgTs, partition)
 	}
-	for _, in := range p.Inputs {
-		if in.Topic != topic {
-			continue
-		}
-		t, err := in.Scan.Decode(value, key, msgTs, partition, offset)
-		if err != nil {
-			return err
-		}
-		return p.Router.Route(topic, t)
+	p.oneEnv[0] = samza.IncomingMessageEnvelope{
+		Stream: topic, Partition: partition, Offset: offset,
+		Key: key, Value: value, Timestamp: msgTs,
 	}
-	return nil
+	return p.RouteBatch(p.oneEnv[:], nil, 0)
 }
