@@ -250,10 +250,18 @@ func BenchmarkAblationRouterDepth16(b *testing.B) { benchRouterDepth(b, 16) }
 
 // --- Ablation 4 (DESIGN.md §4.4): sliding-window store traffic ---
 //
-// Measures the full Algorithm 1 path per tuple and reports the store
-// operations it performs, confirming the paper's KV-bound finding.
+// Drives the full Algorithm 1 path over an uncached store (5-minute frame,
+// 100 keys, 10ms apart) and reports the store operations per tuple. A
+// one-row block costs each tuple a state read, a page Range, a tail-page
+// Put and a state Put (~4 ops); a 256-row block pays those per distinct key
+// per block, plus one Put and one Delete per 16-contribution page.
 
 func BenchmarkAblationWindowStore(b *testing.B) {
+	b.Run("block=1", func(b *testing.B) { benchWindowStoreTraffic(b, 1) })
+	b.Run("block=256", func(b *testing.B) { benchWindowStoreTraffic(b, 256) })
+}
+
+func benchWindowStoreTraffic(b *testing.B, block int) {
 	spec := &validate.BoundAnalytic{
 		Fn:          "SUM",
 		Arg:         &expr.ColRef{Idx: 1, Name: "units", T: types.Bigint},
@@ -275,13 +283,18 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	emit := func(*operators.TupleBlock) error { return nil }
-	// One-row blocks: the per-tuple store traffic of Algorithm 1.
-	blk := &operators.TupleBlock{Stream: "orders", N: 1, Cols: [][]any{{nil}, {nil}, {nil}}}
+	blk := &operators.TupleBlock{Stream: "orders", Cols: [][]any{make([]any, block), make([]any, block), make([]any, block)}}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := int64(1_600_000_000_000 + i*10)
-		blk.Cols[0][0], blk.Cols[1][0], blk.Cols[2][0] = ts, int64(i%100), int64(i%100)
-		blk.Ts, blk.Keys, blk.Offsets = append(blk.Ts[:0], ts), append(blk.Keys[:0], nil), append(blk.Offsets[:0], int64(i))
+	for i := 0; i < b.N; i += block {
+		n := min(block, b.N-i)
+		blk.N = n
+		blk.Ts, blk.Keys, blk.Offsets = blk.Ts[:0], blk.Keys[:0], blk.Offsets[:0]
+		for r := 0; r < n; r++ {
+			t := i + r
+			ts := int64(1_600_000_000_000 + t*10)
+			blk.Cols[0][r], blk.Cols[1][r], blk.Cols[2][r] = ts, int64(t%100), int64(t%100)
+			blk.Ts, blk.Keys, blk.Offsets = append(blk.Ts, ts), append(blk.Keys, nil), append(blk.Offsets, int64(t))
+		}
 		blk.SelAll()
 		if err := op.ProcessBlock(0, blk, emit); err != nil {
 			b.Fatal(err)

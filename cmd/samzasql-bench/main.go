@@ -31,7 +31,7 @@ func main() {
 		check      = flag.Bool("check", false, "verify the measured shape matches the paper and exit non-zero otherwise")
 		mAddr      = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address during runs (e.g. 127.0.0.1:8642)")
 		mInterval  = flag.Duration("metrics-interval", 0, "enable the per-container metrics snapshot reporter at this period (e.g. 500ms) and print per-operator latency tables")
-		storeCache = flag.Int("store-cache", 0, "wrap every task store in an LRU object cache of this many entries (0 = paper-faithful per-tuple store path)")
+		storeCache = flag.Int("store-cache", 0, "wrap every task store in an LRU object cache of this many entries (0 = uncached stores)")
 		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
 		profIntv   = flag.Duration("profile-interval", 0, "run each job's continuous profiler at this capture period (e.g. 1s; 0 = profiling off)")

@@ -36,7 +36,7 @@ func main() {
 		demoOrders = flag.Int("demo-orders", 10_000, "demo Orders records")
 		streamRows = flag.Int("stream-rows", 20, "rows to tail from a streaming query before stopping it")
 		partitions = flag.Int("partitions", 4, "partitions for demo topics")
-		storeCache = flag.Int("store-cache", 0, "wrap task stores of submitted jobs in an LRU object cache of this many entries (0 = per-tuple store path)")
+		storeCache = flag.Int("store-cache", 0, "wrap task stores of submitted jobs in an LRU object cache of this many entries (0 = uncached stores)")
 		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
 		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for submitted jobs: messages per columnar block (0 = framework default, 1 = one message per block)")

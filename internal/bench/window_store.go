@@ -142,9 +142,10 @@ func RunWindowStore(cfg WindowStoreConfig) (WindowStoreResult, error) {
 	// to this run — the same hygiene testing.B applies between benchmarks.
 	runtime.GC()
 	start := time.Now()
-	// Tuples arrive as one-row blocks, so the baseline saves window state
-	// per tuple: the paper-faithful store traffic the cache is measured
-	// against (larger blocks already save once per key per block).
+	// Tuples arrive as one-row blocks, as paced input does, so the uncached
+	// baseline reads, replays and saves a key's window state per tuple: the
+	// store traffic the cache is measured against (larger blocks pay it once
+	// per key per block).
 	var b operators.TupleBlock
 	for i := 0; i < cfg.Tuples; i++ {
 		fillWindowRow(&b, i, cfg.Keys)

@@ -44,7 +44,9 @@ func runEqual(a, b any) (eq, ok bool) {
 // offset order one tuple at a time (foldTuple), and persists each modified
 // state once. The output block carries one row per selected input row —
 // input columns plus one value column per call — with replayed rows
-// (already-applied offsets) deselected: a replay emits nothing.
+// (already-applied offsets) deselected: a replay emits nothing. Dead pages
+// are deleted only after the output is emitted, so a crash on one of those
+// deletes cannot leave a row applied to the state but never emitted.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -91,7 +93,12 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 		}
 	}
 	out.Sel = sel
-	return emit(out)
+	if err := emit(out); err != nil {
+		return err
+	}
+	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+	o.deleteDeadPages()
+	return nil
 }
 
 // processCallBlock runs one analytic call over the block: columnar key
@@ -154,6 +161,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		keys = append(keys, sk)
 	}
 	o.blkKeys = keys
+	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 	if err := o.loadStatesBatch(c, keys, states); err != nil {
 		return err
 	}
@@ -187,7 +195,8 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 				return err
 			}
 		}
-		if err := o.foldTuple(c, ws, pks[k], ts, arg, offset); err != nil {
+		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+		if err := o.foldTuple(c, ws, pks[k], ts, arg); err != nil {
 			return err
 		}
 		ws.offsets = ws.offsets.update(src, offset)
@@ -204,8 +213,14 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		}
 		ws.dirty = false
 		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		if err := o.saveCallState(sk, ws); err != nil {
+		if err := o.saveCallState(c, sk, ws); err != nil {
 			return err
+		}
+	}
+	if o.cache == nil {
+		// Nothing retains an uncached state past its block.
+		for _, sk := range keys {
+			o.spare = append(o.spare, states[string(sk)])
 		}
 	}
 	return nil
@@ -224,9 +239,10 @@ func (o *SlidingWindowOp) resetBlockStates() map[string]*windowState {
 }
 
 // loadStatesBatch fills the block state map for the distinct state keys:
-// cache-resident decoded states come from one GetObjectMany, everything
-// else from one batched byte read (which, over a CachedStore, also caches
-// the entries as a point Get would).
+// cache-resident decoded states, live sets included, come from one
+// GetObjectMany; everything else from one batched byte read (which, over a
+// CachedStore, also caches the entries as a point Get would) plus, for a
+// bounded frame, one page Range per key.
 func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
 	miss := keys
 	if o.cache != nil {
@@ -261,6 +277,12 @@ func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, state
 			if err != nil {
 				return err
 			}
+			if !c.spec.Unbounded && ws.next > 0 {
+				if err := o.loadPages(c, k, ws); err != nil {
+					return err
+				}
+			}
+			ws.key = k
 			if o.cache != nil {
 				o.cache.CacheObject(k, ws)
 			}
@@ -268,10 +290,13 @@ func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, state
 		}
 		o.blkVals, o.blkOks = vals[:0], oks[:0]
 	}
-	// Clear dirty flags: cached state objects are shared with earlier
-	// blocks and may carry stale marks.
+	// Reset dirty flags: cached state objects are shared with earlier
+	// blocks and may carry stale marks. A state whose load found dead pages
+	// a crash left behind is written back even if no row folds into it,
+	// which deletes them.
 	for _, k := range keys {
-		states[string(k)].dirty = false
+		ws := states[string(k)]
+		ws.dirty = len(ws.dead) > 0
 	}
 	return nil
 }

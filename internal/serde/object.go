@@ -111,7 +111,9 @@ func (o ObjectSerde) Decode(data []byte) (any, error) {
 
 func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
 	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	// Every element takes at least one byte, so a count past the remaining
+	// bytes is corrupt (and must not size the row).
+	if n <= 0 || count > uint64(len(data)-n) {
 		return nil, 0, ErrCorruptObject
 	}
 	pos := n
@@ -129,7 +131,7 @@ func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
 
 func readName(data []byte) (string, int, error) {
 	ln, n := binary.Uvarint(data)
-	if n <= 0 || n+int(ln) > len(data) {
+	if n <= 0 || ln > uint64(len(data)-n) {
 		return "", 0, ErrCorruptObject
 	}
 	return string(data[n : n+int(ln)]), n + int(ln), nil
@@ -156,7 +158,7 @@ func (o ObjectSerde) decodeValue(data []byte) (any, int, error) {
 		return math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])), pos + 8, nil
 	case clsString:
 		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(ln) > len(data) {
+		if n <= 0 || ln > uint64(len(data)-pos-n) {
 			return nil, 0, ErrCorruptObject
 		}
 		start := pos + n
@@ -168,7 +170,7 @@ func (o ObjectSerde) decodeValue(data []byte) (any, int, error) {
 		return data[pos] != 0, pos + 1, nil
 	case clsBytes:
 		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(ln) > len(data) {
+		if n <= 0 || ln > uint64(len(data)-pos-n) {
 			return nil, 0, ErrCorruptObject
 		}
 		start := pos + n
