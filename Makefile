@@ -34,7 +34,9 @@ race:
 verify: vet vet-custom race
 
 # What the GitHub Actions workflow runs: formatting, build, static checks,
-# then the full test tree under the race detector. The perfbench module is
+# the full test tree under the race detector, then the filter performance
+# shape check in a plain build (the race detector's instrumentation inverts
+# that shape, so the test skips itself under -race). The perfbench module is
 # vetted too: that compiles the benchmark and its tests against the root
 # packages without writing a binary, so an API change that breaks the
 # benchmark fails here rather than in a benchmark run.
@@ -45,6 +47,7 @@ ci: build
 	cd perfbench && $(GO) vet ./...
 	$(MAKE) vet-custom
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run '^TestFilterPerformanceShape$$' ./internal/bench
 
 # Messages per figure run for the JSON report. Short runs are dominated by
 # startup noise (ratios can swing 2x between 20k and 100k messages), so the
@@ -78,9 +81,10 @@ COMPARE_MESSAGES ?= $(BENCH_MESSAGES)
 bench-compare:
 	$(GO) run ./cmd/samzasql-bench -figure figures -messages $(COMPARE_MESSAGES) -compare BENCH_results.json
 
-# Telemetry-overhead report: first re-pin the telemetry-off hot paths at 0
-# allocs/op (every TestFilterProcessZeroAllocs* pin: plain, tracing cursor
-# bound, idle profiler constructed, monitor attached), then
+# Telemetry-overhead report: first re-pin the filter task's exact
+# per-message allocations and that telemetry adds none (every
+# TestFilterProcessZeroAllocs* pin: plain, tracing cursor bound, idle
+# profiler constructed, monitor attached), then
 # the throughput sweep against telemetry off — trace sample rates 0.01 and
 # 1.0 on the filter and sliding-window queries, the profiler's default and
 # aggressive modes on the filter — reporting the median and quartiles of

@@ -520,43 +520,6 @@ func (c *Codec) ReadField(data []byte, name string) (any, error) {
 	return v, nil
 }
 
-// ReadFields decodes only the top-level fields whose indexes are marked in
-// wanted (index-aligned with the schema), skipping everything else in one
-// pass over the wire bytes. The result is a sparse row: unwanted slots are
-// nil. This powers the fast-path execution mode (the paper's §7 proposal to
-// avoid materializing full tuples for filter queries).
-func (c *Codec) ReadFields(data []byte, wanted []bool, row []any) ([]any, error) {
-	if len(row) != len(c.schema.Fields) {
-		row = make([]any, len(c.schema.Fields))
-	}
-	maxIdx := -1
-	for i, w := range wanted {
-		if w {
-			maxIdx = i
-		}
-	}
-	pos := 0
-	for i := 0; i <= maxIdx && i < len(c.schema.Fields); i++ {
-		f := c.schema.Fields[i]
-		if wanted[i] {
-			v, n, err := decodeValue(data[pos:], f.Schema)
-			if err != nil {
-				return nil, fmt.Errorf("avro: field %q: %w", f.Name, err)
-			}
-			row[i] = v
-			pos += n
-			continue
-		}
-		n, err := skipValue(data[pos:], f.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("avro: skipping field %q: %w", f.Name, err)
-		}
-		row[i] = nil
-		pos += n
-	}
-	return row, nil
-}
-
 // ProjectFields re-encodes a subset of the record's top-level fields,
 // reading each from the wire bytes and appending it to a new payload in the
 // order given. A native Samza project task uses this Avro-to-Avro copy,
@@ -583,23 +546,4 @@ func (c *Codec) ProjectFields(data []byte, names []string, out *Codec) ([]byte, 
 		dst = append(dst, data[extents[idx].start:extents[idx].end]...)
 	}
 	return dst, nil
-}
-
-// FieldExtents locates the byte extent of every top-level field in one pass
-// over the wire bytes, appending (start, end) pairs to ext (reused across
-// calls by the vectorized kernel, so extent location costs no allocation
-// per row). The returned slice holds 2*arity ints: field i spans
-// data[ext[2i]:ext[2i+1]].
-func (c *Codec) FieldExtents(data []byte, ext []int) ([]int, error) {
-	ext = ext[:0]
-	pos := 0
-	for _, f := range c.schema.Fields {
-		n, err := skipValue(data[pos:], f.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("avro: sizing field %q: %w", f.Name, err)
-		}
-		ext = append(ext, pos, pos+n)
-		pos += n
-	}
-	return ext, nil
 }

@@ -53,24 +53,45 @@ func TestNativeAndSQLAgreeOnFilterOutput(t *testing.T) {
 	}
 }
 
+// TestFilterPerformanceShape checks the paper's Figure 5a shape: the SQL
+// filter runs slower than the hand-written native job. One pair of runs
+// spreads too widely to decide that (plain runs read ratios 0.55–0.94), so
+// it decides on the median ratio over shapePairs interleaved native/SQL
+// pairs, alternating which side runs first. It is skipped under the race
+// detector: its instrumentation changes the two jobs' relative costs enough
+// to invert the shape (isolated -race runs read ratios 0.88–1.21), so make
+// ci runs this test in a plain, non-race step instead.
 func TestFilterPerformanceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf shape check skipped in -short mode")
 	}
+	if raceEnabled {
+		t.Skip("perf shape check skipped under the race detector, which inverts it")
+	}
+	const shapePairs = 7
 	cfg := smallConfig()
 	cfg.Messages = 30_000
-	nat, err := RunNative("filter", cfg)
-	if err != nil {
-		t.Fatal(err)
+	ratios := make([]float64, shapePairs)
+	for i := range ratios {
+		var nat, sql Result
+		var err error
+		for side := 0; side < 2; side++ {
+			if (side+i)%2 == 0 {
+				nat, err = RunNative("filter", cfg)
+			} else {
+				sql, err = RunSQL("filter", cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		ratios[i] = sql.Throughput / nat.Throughput
+		t.Logf("pair %d: native %.0f msg/s, samzasql %.0f msg/s, ratio %.2f", i, nat.Throughput, sql.Throughput, ratios[i])
 	}
-	sql, err := RunSQL("filter", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := sql.Throughput / nat.Throughput
-	t.Logf("filter: native %.0f msg/s, samzasql %.0f msg/s, ratio %.2f", nat.Throughput, sql.Throughput, ratio)
+	q1, ratio, q3 := quartiles(ratios)
+	t.Logf("filter ratio over %d pairs: median %.2f (IQR %.2f–%.2f)", shapePairs, ratio, q1, q3)
 	if ratio >= 1.0 {
-		t.Errorf("SamzaSQL filter (%.0f) faster than native (%.0f); transformation overhead missing", sql.Throughput, nat.Throughput)
+		t.Errorf("SamzaSQL filter median ratio %.2f >= 1: faster than native; transformation overhead missing", ratio)
 	}
 }
 

@@ -34,9 +34,6 @@ type Config struct {
 	TaskParallelism int
 	// WindowMillis for the sliding-window benchmarks (paper: 5 minutes).
 	WindowMillis int64
-	// FastPath enables the engine's fused execution mode (§7 future work
-	// item 5) for the SamzaSQL side; off reproduces the paper's prototype.
-	FastPath bool
 	// StoreCacheSize, when positive, runs both implementations' task stores
 	// behind an LRU object cache with write-behind batching
 	// (samza.JobSpec.StoreCacheSize). 0 reproduces the paper's per-tuple
@@ -339,7 +336,6 @@ func RunSQL(query string, cfg Config) (Result, error) {
 	}
 	e.engine.Containers = cfg.Containers
 	e.engine.TaskParallelism = cfg.TaskParallelism
-	e.engine.FastPath = cfg.FastPath
 	e.engine.StoreCacheSize = cfg.StoreCacheSize
 	e.engine.WriteBatchSize = cfg.WriteBatchSize
 	e.engine.MetricsInterval = cfg.MetricsInterval

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
-	"samzasql/internal/sql/catalog"
 	"samzasql/internal/workload"
-	"samzasql/internal/zk"
 )
 
 // equivCase is one query shape the block pipeline must execute exactly as
@@ -304,35 +301,12 @@ func (c *nullBatchCollector) SendBatch(stream string, msgs []kafka.Message) erro
 	return nil
 }
 
-// setupBatchFilterTask mirrors setupFilterTask but binds a BatchCollector
-// and pre-encodes a whole block of Orders envelopes.
+// setupBatchFilterTask initializes a filter task (initFilterTask) over a
+// BatchCollector and pre-encodes a whole block of Orders envelopes.
 func setupBatchFilterTask(tb testing.TB, n int) (*Task, *nullBatchCollector, []samza.IncomingMessageEnvelope) {
 	tb.Helper()
-	cat := catalog.New()
-	if err := workload.DefineCatalog(cat); err != nil {
-		tb.Fatal(err)
-	}
-	zkStore := zk.NewStore()
-	const queryPath = "/samzasql/queries/bench-filter-block"
-	if err := zkStore.CreateRecursive(queryPath, []byte("SELECT STREAM * FROM Orders WHERE units > 50")); err != nil {
-		tb.Fatal(err)
-	}
 	coll := &nullBatchCollector{}
-	ctx := &samza.TaskContext{
-		Task:      samza.TaskNameFor(0),
-		Partition: 0,
-		Metrics:   metrics.NewRegistry(),
-		Config: map[string]string{
-			"samzasql.zk.query.path": queryPath,
-			"samzasql.output.topic":  "bench-out",
-			"samzasql.fastpath":      "true",
-		},
-		Collector: coll,
-	}
-	task := NewTask(cat, zkStore, true)
-	if err := task.Init(ctx); err != nil {
-		tb.Fatal(err)
-	}
+	task := initFilterTask(tb, coll, nil)
 	gen := workload.NewOrdersGen(workload.DefaultOrdersConfig())
 	envs := make([]samza.IncomingMessageEnvelope, n)
 	for i := range envs {
@@ -348,28 +322,30 @@ func setupBatchFilterTask(tb testing.TB, n int) (*Task, *nullBatchCollector, []s
 	return task, coll, envs
 }
 
-// TestFilterBlockZeroAllocs pins the vectorized promise: once the scratch
-// buffers are warm (AllocsPerRun runs the body once before measuring), the
-// identity-filter kernel processes a whole block — decode-sparse, evaluate,
-// forward — without a single heap allocation, i.e. 0 allocs per message.
+// TestFilterBlockZeroAllocs pins the block path's exact allocations for a
+// whole 64-message block through Task.ProcessBatch once the scratch buffers
+// are warm (AllocsPerRun runs the body once before measuring): the scan's
+// per-row value boxing (filterPaths' miss count per message) plus one output
+// slab for the block. (The name dates from the fused kernel this test used
+// to pin at zero.)
 func TestFilterBlockZeroAllocs(t *testing.T) {
-	const block = 64
+	const block, want = 64, 193
 	task, coll, envs := setupBatchFilterTask(t, block)
 	allocs := testing.AllocsPerRun(500, func() {
 		if err := task.ProcessBatch(envs, coll, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("block path: %.1f allocs per %d-message block, want 0", allocs, block)
+	if allocs != want {
+		t.Errorf("block path: %.1f allocs per %d-message block, want %d", allocs, block, want)
 	}
 	if coll.batches == 0 || coll.rows == 0 {
 		t.Fatalf("block path never reached the batch collector (batches=%d rows=%d)", coll.batches, coll.rows)
 	}
 }
 
-// BenchmarkFilterBlockProcess measures the per-block cost of the fastpath
-// filter kernel through Task.ProcessBatch, excluding broker I/O; divide by
+// BenchmarkFilterBlockProcess measures the per-block cost of a filter query
+// through Task.ProcessBatch, excluding broker I/O; divide by
 // the block size for the per-message cost comparable to
 // BenchmarkFilterMessageProcess.
 func BenchmarkFilterBlockProcess(b *testing.B) {

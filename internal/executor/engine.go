@@ -41,10 +41,8 @@ type Engine struct {
 	// Optimize toggles the rule-based optimizer (on by default; the
 	// ablation benches turn it off).
 	Optimize bool
-	// FastPath enables the fused scan/filter/project/insert execution mode
-	// for eligible queries — the paper's §7 proposal to close the 30-40%
-	// gap by avoiding the AvroToArray/ArrayToAvro steps. Off by default to
-	// match the prototype the paper evaluates.
+	// FastPath has no effect: every query runs the block chain. The field
+	// is kept only because the frozen perfbench module names it.
 	FastPath bool
 	// StoreCacheSize, when positive, wraps every task store of submitted
 	// jobs in an LRU object cache with write-behind batching
@@ -136,7 +134,7 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if output == "" {
 		output = fmt.Sprintf("%s-output", jobName)
 	}
-	prog, err := physical.CompileWithOptions(optimized, output, physical.Options{FastPath: e.FastPath})
+	prog, err := physical.Compile(optimized, output)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +244,6 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 		Config: map[string]string{
 			"samzasql.zk.query.path": zkQueryPath(p.JobName),
 			"samzasql.output.topic":  p.OutputTopic,
-			"samzasql.fastpath":      fmt.Sprintf("%v", e.FastPath),
 		},
 		TaskFactory: func() samza.StreamTask {
 			return NewTask(e.Catalog, e.ZK, e.Optimize)

@@ -6,37 +6,27 @@ import (
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/monitor"
-	"samzasql/internal/samza"
 )
 
 // TestFilterProcessZeroAllocsWithMonitor pins the acceptance bound for the
-// observability pipeline: attaching the cluster monitor must not put
-// allocations back on the unsampled hot path. The monitor is live — tailers
-// parked on the telemetry topics, run loop armed — while AllocsPerRun
-// measures the task. testing.AllocsPerRun counts process-global mallocs, so
-// the eval interval is pushed out of the measurement window to keep the
+// observability pipeline: attaching the cluster monitor must not add
+// allocations to the unsampled hot path. The same task is measured before
+// the monitor starts and while it is live — tailers parked on the telemetry
+// topics, run loop armed. testing.AllocsPerRun counts process-global mallocs,
+// so the eval interval is pushed out of the measurement window to keep the
 // check deterministic; what matters is that the attached monitor's standing
 // machinery (goroutines, consumers, ring store) contributes nothing.
 func TestFilterProcessZeroAllocsWithMonitor(t *testing.T) {
-	broker := kafka.NewBroker()
-	mon, err := monitor.Start(monitor.Config{Broker: broker, EvalInterval: time.Hour})
+	task, coll, miss, hit := setupFilterTask(t, nil)
+	base := filterPathAllocs(t, task, miss, hit)
+	checkFilterPathAllocs(t, base)
+
+	mon, err := monitor.Start(monitor.Config{Broker: kafka.NewBroker(), EvalInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Stop()
-
-	task, coll, miss, hit := setupFilterTask(t)
-	for name, env := range map[string]samza.IncomingMessageEnvelope{"miss": miss, "hit": hit} {
-		env := env
-		allocs := testing.AllocsPerRun(1000, func() {
-			if err := task.Process(env, task.bound, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s path with monitor attached: %.1f allocs per message, want 0", name, allocs)
-		}
-	}
+	checkNoAddedAllocs(t, "monitor attached", base, filterPathAllocs(t, task, miss, hit))
 	if coll.sent == 0 {
 		t.Fatal("hit path never reached the collector")
 	}

@@ -72,8 +72,7 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 	if t.optimize {
 		logical = opt.Optimize(logical)
 	}
-	prog, err := physical.CompileWithOptions(logical, ctx.Config["samzasql.output.topic"],
-		physical.Options{FastPath: ctx.Config["samzasql.fastpath"] == "true"})
+	prog, err := physical.Compile(logical, ctx.Config["samzasql.output.topic"])
 	if err != nil {
 		return err
 	}
@@ -124,8 +123,7 @@ func (t *Task) bindSender(collector samza.MessageCollector) {
 }
 
 // Process implements samza.StreamTask for drivers that hold one message at
-// a time: it runs the message as a one-row block (or through the fused
-// fast path).
+// a time: it runs the message as a one-row block.
 //
 //samzasql:hotpath
 func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator) error {
@@ -136,7 +134,7 @@ func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.Messag
 }
 
 // ProcessBatch implements samza.BatchedStreamTask: the whole polled batch
-// flows through the program's block chain (or the fused fast path).
+// flows through the program's block chain.
 //
 //samzasql:hotpath
 func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, pollNs int64) error {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
 	"samzasql/internal/trace"
@@ -16,53 +15,20 @@ import (
 	"samzasql/internal/zk"
 )
 
-// TestFilterProcessZeroAllocsTracerBound re-pins the zero-alloc hot path
-// with the tracing cursor wired the way a container wires it: Active bound
-// in the task context, sampling off. The unsampled path must stay at one
-// branch per call site — no allocations.
+// TestFilterProcessZeroAllocsTracerBound pins the unsampled hot path with
+// the tracing cursor wired the way a container wires it: Active bound in the
+// task context, sampling off. That must stay one branch per call site, so
+// the traced task allocates exactly as much as the same task without a
+// tracer.
 func TestFilterProcessZeroAllocsTracerBound(t *testing.T) {
-	cat := catalog.New()
-	if err := workload.DefineCatalog(cat); err != nil {
-		t.Fatal(err)
-	}
-	zkStore := zk.NewStore()
-	const queryPath = "/samzasql/queries/traced-filter"
-	if err := zkStore.CreateRecursive(queryPath, []byte("SELECT STREAM * FROM Orders WHERE units > 50")); err != nil {
-		t.Fatal(err)
-	}
-	coll := &nullCollector{}
-	act := trace.NewActive(trace.NewRecorder(64))
-	ctx := &samza.TaskContext{
-		Task:      samza.TaskNameFor(0),
-		Partition: 0,
-		Metrics:   metrics.NewRegistry(),
-		Trace:     act,
-		Config: map[string]string{
-			"samzasql.zk.query.path": queryPath,
-			"samzasql.output.topic":  "traced-out",
-			"samzasql.fastpath":      "true",
-		},
-		Collector: coll,
-	}
-	task := NewTask(cat, zkStore, true)
-	if err := task.Init(ctx); err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewOrdersGen(workload.DefaultOrdersConfig())
-	_, key, value, err := gen.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := samza.IncomingMessageEnvelope{
-		Stream: "orders", Partition: 0, Key: key, Value: value,
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := task.Process(env, task.bound, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("unsampled message with tracer bound: %.1f allocs, want 0", allocs)
+	task, _, miss, hit := setupFilterTask(t, nil)
+	base := filterPathAllocs(t, task, miss, hit)
+	checkFilterPathAllocs(t, base)
+
+	traced, coll, miss, hit := setupFilterTask(t, trace.NewActive(trace.NewRecorder(64)))
+	checkNoAddedAllocs(t, "tracer bound", base, filterPathAllocs(t, traced, miss, hit))
+	if coll.sent == 0 {
+		t.Fatal("hit path never reached the collector")
 	}
 }
 

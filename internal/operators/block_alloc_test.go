@@ -29,9 +29,8 @@ func fillWindowBlock(b *TupleBlock, n, parts, runLen int, baseTs, baseOff int64,
 }
 
 // TestSlidingWindowBlockAllocBudget pins the vectorized sliding window's
-// per-row allocation cost. Unlike the stateless filter kernel this path
-// cannot reach zero: each fresh tuple boxes its aggregate output and its
-// applied offset. No contribution is persisted per row any more — a key's
+// per-row allocation cost. It cannot reach zero: each fresh tuple boxes
+// its aggregate output and its applied offset. No contribution is persisted per row any more — a key's
 // contributions are written as 16-record pages, once per page filled and
 // once per block for the partial tail page, and with the cache the live
 // set stays resident — so state loads, page writes and write-backs are

@@ -141,6 +141,13 @@ func (i *InsertOp) Open(ctx *OpContext) error {
 //
 //samzasql:hotpath
 func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
+	if len(b.Sel) == 0 {
+		// A fully filtered block sends nothing, so it allocates no slab.
+		if emit != nil {
+			return emit(b)
+		}
+		return nil
+	}
 	if cap(i.rowScratch) < len(b.Cols) {
 		i.rowScratch = make([]any, len(b.Cols))
 	}
@@ -181,10 +188,8 @@ func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 			})
 		}
 		i.msgScratch = msgs
-		if len(msgs) > 0 {
-			if err := i.SendBatch(i.Target, msgs); err != nil {
-				return err
-			}
+		if err := i.SendBatch(i.Target, msgs); err != nil {
+			return err
 		}
 	} else {
 		for k, r := range b.Sel {

@@ -13,7 +13,6 @@ import (
 // runs once per block, and the insert flushes the outputs in one batched
 // send. Stateful stages (aggregate, sliding window, joins) cluster each
 // block by key and batch their state reads (operators/block_stateful.go).
-// The fused fast path handles its own batches.
 
 // RouteBatch drives one polled batch through the program. The envelopes
 // come from a single topic-partition in offset order (the consumer's poll
@@ -27,12 +26,6 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		return nil
 	}
 	topic := envs[0].Stream
-	if p.fast != nil {
-		if topic != p.fast.topic {
-			return nil
-		}
-		return p.fast.handleBlock(envs, act, pollNs)
-	}
 	entry := p.entries[topic]
 	if entry == nil {
 		return nil // not an input of this query

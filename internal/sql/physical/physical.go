@@ -42,9 +42,8 @@ type Program struct {
 	Repartitions []*RepartitionSpec
 	// Streaming reports whether any scan is unbounded.
 	Streaming bool
-	// Stages lists the instrumented stage names in compile order (plus
-	// "fastpath" when the fused path compiles), the keys under which the
-	// registry holds "operator.<stage>.*" metrics — what EXPLAIN ANALYZE
+	// Stages lists the instrumented stage names in compile order, the keys
+	// under which the registry holds "operator.<stage>.*" metrics — what EXPLAIN ANALYZE
 	// walks to annotate the plan with live counts and latencies.
 	Stages []string
 	// insert is the sink operator; its sender is bound via SetSender.
@@ -54,9 +53,6 @@ type Program struct {
 	// block chain above the aggregate (having filter, projection, insert).
 	aggregate     *operators.StreamAggregateOp
 	aggDownstream operators.BlockEmit
-	// fast is non-nil when the plan compiled to the fused fast path (§7's
-	// proposed SamzaSQL-specific code generation; see fastpath.go).
-	fast *fastProgram
 	// stageSeq numbers repeated operator kinds during compilation so every
 	// instrumented stage gets a unique metric name.
 	stageSeq map[string]int
@@ -92,9 +88,6 @@ func (p *Program) instrument(kind string, op operators.Operator) *operators.Inst
 	return inst
 }
 
-// FastPath reports whether the program uses the fused fast path.
-func (p *Program) FastPath() bool { return p.fast != nil }
-
 // FlushAggregate closes all open windows, passing them as one block through
 // the post-aggregate chain. No-op for plans without aggregation.
 func (p *Program) FlushAggregate() error {
@@ -106,43 +99,33 @@ func (p *Program) FlushAggregate() error {
 
 // SetSender binds the output sink to a message collector.
 func (p *Program) SetSender(s operators.Sender) {
-	if p.fast != nil {
-		p.fast.send = s
-		return
-	}
 	p.insert.Send = s
 }
 
 // SetBatchSender binds the output sink's batched path. Nil unbinds it; the
 // insert then sends each row through the sender SetSender bound.
 func (p *Program) SetBatchSender(bs operators.BatchSender) {
-	if p.fast != nil {
-		p.fast.sendBatch = bs
-		return
-	}
-	if p.insert != nil {
-		p.insert.SendBatch = bs
-	}
+	p.insert.SendBatch = bs
 }
 
 // Aggregate exposes the aggregate operator (nil when the plan has none).
 func (p *Program) Aggregate() *operators.StreamAggregateOp { return p.aggregate }
 
-// Options controls compilation.
+// Options is the compilation option set CompileWithOptions takes.
 type Options struct {
-	// FastPath enables the fused scan/filter/project/insert path for
-	// eligible plans (§7 future work item 5); see fastpath.go.
+	// FastPath has no effect: every plan runs the block chain. The field is
+	// kept only because the frozen perfbench module names it.
 	FastPath bool
+}
+
+// CompileWithOptions is Compile: no Options field changes what it builds.
+func CompileWithOptions(root plan.Node, defaultOutput string, _ Options) (*Program, error) {
+	return Compile(root, defaultOutput)
 }
 
 // Compile lowers the plan. defaultOutput names the output topic for plain
 // SELECTs (INSERT INTO plans carry their own target).
 func Compile(root plan.Node, defaultOutput string) (*Program, error) {
-	return CompileWithOptions(root, defaultOutput, Options{})
-}
-
-// CompileWithOptions lowers the plan with explicit options.
-func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Program, error) {
 	prog := &Program{Router: operators.NewRouter()}
 
 	target := defaultOutput
@@ -153,13 +136,6 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	}
 	if target == "" {
 		return nil, fmt.Errorf("physical: no output topic for query")
-	}
-	if opts.FastPath {
-		if ok, err := prog.tryFastPath(body, target); err != nil {
-			return nil, err
-		} else if ok {
-			return prog, nil
-		}
 	}
 	outRow := body.Row()
 	outCodec, err := codecFor("Output", outRow, true)
@@ -217,9 +193,8 @@ func (p *Program) build(n plan.Node, down operators.BlockEmit) error {
 		if err != nil {
 			return err
 		}
-		// SELECT *: every expression is its own input column, in order. The
-		// block then passes through (raw encodings included), letting the
-		// insert raw-forward filter-only chains.
+		// SELECT *: every expression is its own input column, in order, so
+		// the block passes through without re-evaluation or compaction.
 		if identity := t.Exprs != nil && len(t.Exprs) == t.Input.Row().Arity(); identity {
 			for i, e := range t.Exprs {
 				c, ok := e.(*expr.ColRef)
@@ -399,17 +374,10 @@ func codecFor(name string, row *types.RowType, nullable bool) (*avro.Codec, erro
 	return avro.NewCodec(avro.Record(name, fields...))
 }
 
-// RouteMessage drives one raw message from topic through the program: the
-// fused fast path takes it directly, every other plan runs it as a one-row
-// block through RouteBatch. Callers that have messages one at a time
+// RouteMessage drives one raw message from topic through the program as a
+// one-row block through RouteBatch. Callers that have messages one at a time
 // (relation bootstrap outside a container, tests) use it.
 func (p *Program) RouteMessage(topic string, value, key []byte, msgTs int64, partition int32, offset int64) error {
-	if p.fast != nil {
-		if topic != p.fast.topic {
-			return nil
-		}
-		return p.fast.handle(value, key, msgTs, partition)
-	}
 	p.oneEnv[0] = samza.IncomingMessageEnvelope{
 		Stream: topic, Partition: partition, Offset: offset,
 		Key: key, Value: value, Timestamp: msgTs,
